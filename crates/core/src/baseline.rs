@@ -184,11 +184,6 @@ impl<'a> Explorer<'a> {
         })
     }
 
-    /// The basic events of the tree, in the order used by `SysState::failed`.
-    pub(crate) fn basic_events(&self) -> &[ElementId] {
-        &self.bes
-    }
-
     pub(crate) fn initial_state(&self) -> SysState {
         SysState {
             failed: vec![false; self.bes.len()],

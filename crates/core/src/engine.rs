@@ -1298,15 +1298,9 @@ impl ParametricAnalyzer {
             return ParametricAnalyzer::compositional(dft, options);
         }
         // The session-global parameter table: exactly what
-        // `convert_parametric` builds for an unrepairable tree — one failure
-        // slot per basic event in element order — so valuations, base
-        // valuations and slot lookups are identical across backends.
-        let mut params = ParamTable::default();
-        for id in dft.elements() {
-            if let Element::BasicEvent(be) = dft.element(id) {
-                params.push(dft.name(id), ParamKind::Failure, be.rate);
-            }
-        }
+        // `convert_parametric` builds, so valuations, base valuations and
+        // slot lookups are identical across backends.
+        let params = ParamTable::from_dft(dft);
 
         let plan = hybrid_plan(dft);
         let core_options = AnalysisOptions {

@@ -58,23 +58,17 @@ pub mod rng;
 pub mod semantics;
 pub mod service;
 pub mod signals;
-pub mod simulate;
 pub mod store;
 
 pub use analysis::{AnalysisOptions, Method};
-// The one-shot wrappers stay re-exported for path compatibility; they are
-// deprecated in favour of `Analyzer` sessions and `AnalysisService::run_request`.
-#[allow(deprecated)]
-pub use analysis::{mean_time_to_failure, unavailability, unreliability};
 pub use convert::{convert_parametric, Community};
 pub use engine::{Analyzer, ParametricAnalyzer, RateSweep};
 pub use parametric::{ParamKind, ParamSlot, ParamTable, Valuation};
 pub use query::{Measure, MeasurePoint, MeasureResult};
 pub use request::{AnalysisRequest, MethodSpec, QuerySpec, RequestError, SweepSpec};
 pub use service::{
-    AnalysisJob, AnalysisService, BatchStats, CacheStats, HybridStats, JobHandle, JobReport,
-    QueueStats, RequestHandle, RequestOutcome, ServiceOptions, ServiceReport, SweepHandle,
-    SweepJob, SweepPointReport, SweepReport, SweepStats,
+    AnalysisService, CacheStats, HybridStats, JobReport, QueueStats, RequestHandle, RequestOutcome,
+    ServiceOptions, SweepPointReport, SweepReport, SweepStats,
 };
 pub use store::{ModelStore, StoreStats};
 

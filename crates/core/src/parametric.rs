@@ -11,6 +11,7 @@
 //! [`ParametricAnalyzer::instantiate`](crate::engine::ParametricAnalyzer::instantiate)).
 
 use crate::{Error, Result};
+use dft::{Dft, Element};
 use std::fmt;
 
 /// What a parameter slot controls.
@@ -55,6 +56,28 @@ pub struct ParamTable {
 }
 
 impl ParamTable {
+    /// The slot table of `dft` itself: one failure slot per basic event, then
+    /// a repair slot when the event is repairable, in element order — exactly
+    /// the table [`convert_parametric`](crate::convert::convert_parametric)
+    /// records, with the tree's own names and rates as the base values.
+    ///
+    /// Slot layout depends only on the structure, so this table fits every
+    /// parametric model of a structurally identical tree; resolving a sweep
+    /// against it (rather than against a cached model's table) keeps the
+    /// request's own rates as the base.
+    pub fn from_dft(dft: &Dft) -> ParamTable {
+        let mut table = ParamTable::default();
+        for id in dft.elements() {
+            if let Element::BasicEvent(be) = dft.element(id) {
+                table.push(dft.name(id), ParamKind::Failure, be.rate);
+                if let Some(mu) = be.repair_rate {
+                    table.push(dft.name(id), ParamKind::Repair, mu);
+                }
+            }
+        }
+        table
+    }
+
     /// Registers a new slot and returns its index.
     pub(crate) fn push(&mut self, element: &str, kind: ParamKind, base: f64) -> u32 {
         self.slots.push(ParamSlot {
@@ -223,6 +246,20 @@ mod tests {
         assert_eq!(t.slot_of("Y", ParamKind::Failure), Some(2));
         assert_eq!(t.slot_of("Y", ParamKind::Repair), None);
         assert_eq!(t.slots()[0].base, 0.5);
+    }
+
+    #[test]
+    fn tables_from_trees_match_the_conversion() {
+        let mut b = dft::DftBuilder::new();
+        let x = b
+            .repairable_basic_event("X", 0.5, dft::Dormancy::Hot, 4.0)
+            .unwrap();
+        let y = b.basic_event("Y", 1.5, dft::Dormancy::Hot).unwrap();
+        let top = b.and_gate("Top", &[x, y]).unwrap();
+        let tree = b.build(top).unwrap();
+        let (_, converted) = crate::convert::convert_parametric(&tree).unwrap();
+        assert_eq!(ParamTable::from_dft(&tree), converted);
+        assert_eq!(converted, table());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! A minimal, dependency-free pseudo-random number generator.
 //!
-//! The Monte-Carlo estimator ([`crate::simulate`]) only needs a reproducible
-//! stream of uniform variates to drive inverse-transform sampling of exponential
-//! delays.  Instead of pulling in an external crate, this module implements
+//! Seeded test-case generators and fuzz drivers only need a reproducible
+//! stream of uniform variates.  Instead of pulling in an external crate, this
+//! module implements
 //! SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): a 64-bit state advanced by a
 //! Weyl sequence and scrambled by a variance-of-MurmurHash3 finaliser.  It passes
 //! BigCrush when used as a stream, is trivially seedable, and every seed yields a

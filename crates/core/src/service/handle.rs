@@ -1,26 +1,28 @@
 //! Completion handles for submitted work, and the shared state a sweep's
 //! tasks coordinate through.
 //!
-//! [`AnalysisService::submit`](super::AnalysisService::submit) and
-//! [`submit_sweep`](super::AnalysisService::submit_sweep) enqueue and return
-//! immediately; the caller keeps a handle whose [`wait`](JobHandle::wait)
-//! blocks on an [`mpsc`] channel until the pool delivers the report (or
-//! [`try_result`](JobHandle::try_result) polls without blocking).  Handles are
-//! independent of the service's lifetime: dropping the service drains the
-//! queue first, so every outstanding handle still receives its report.
+//! [`AnalysisService::submit_request`](super::AnalysisService::submit_request)
+//! enqueues an [`AnalysisRequest`](crate::request::AnalysisRequest) and
+//! returns immediately; the caller keeps a [`RequestHandle`] whose
+//! [`wait`](RequestHandle::wait) blocks on an [`mpsc`] channel until the pool
+//! delivers the [`RequestOutcome`] (or [`try_result`](RequestHandle::try_result)
+//! polls without blocking).  Handles are independent of the service's
+//! lifetime: dropping the service drains the queue first, so every
+//! outstanding handle still receives its outcome.
 
-use super::{JobReport, ServiceCore, SweepPointReport, SweepReport, SweepSpec, SweepStats};
+use super::{RequestOutcome, ServiceCore, SweepPointReport, SweepReport, SweepStats};
 use crate::analysis::AnalysisOptions;
 use crate::engine::ParametricAnalyzer;
-use crate::parametric::Valuation;
+use crate::parametric::{ParamTable, Valuation};
 use crate::query::Measure;
+use crate::request::SweepSpec;
 use crate::{Error, Result};
 use dft::Dft;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// The channel-backed core both public handles share: a report arrives exactly
+/// The channel-backed core of [`RequestHandle`]: a report arrives exactly
 /// once; `received` keeps it across `try_result` calls so a later `wait`
 /// still returns it.
 #[derive(Debug)]
@@ -71,86 +73,53 @@ impl<T> Handle<T> {
     }
 }
 
-/// The completion handle of one submitted [`AnalysisJob`](super::AnalysisJob).
+/// The completion handle of one submitted
+/// [`AnalysisRequest`](crate::request::AnalysisRequest), plain or sweep.
 ///
-/// Returned by [`AnalysisService::submit`](super::AnalysisService::submit);
-/// the job runs on the service's persistent worker pool while the submitting
-/// thread is free to keep submitting (or do anything else).
+/// Returned by [`AnalysisService::submit_request`](super::AnalysisService::submit_request);
+/// the request runs on the service's persistent worker pool while the
+/// submitting thread is free to keep submitting (or do anything else).
 #[derive(Debug)]
-pub struct JobHandle {
-    inner: Handle<JobReport>,
+pub struct RequestHandle {
+    inner: Handle<RequestOutcome>,
 }
 
-impl JobHandle {
-    pub(super) fn new(rx: mpsc::Receiver<JobReport>) -> JobHandle {
-        JobHandle {
+impl RequestHandle {
+    pub(super) fn new(rx: mpsc::Receiver<RequestOutcome>) -> RequestHandle {
+        RequestHandle {
             inner: Handle::new(rx),
         }
     }
 
-    /// Blocks until the job has run and returns its report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the worker executing the job panicked (the report channel is
-    /// closed without a report — the pool itself never drops a job).
-    pub fn wait(self) -> JobReport {
-        self.inner.wait()
-    }
-
-    /// Returns the report if the job has already finished, without blocking.
-    /// A report observed here is kept, so a later [`wait`](Self::wait) (or
-    /// repeated `try_result` calls) still return it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the worker executing the job panicked (same condition as
-    /// [`wait`](Self::wait)) — a dead job must not look like "not ready yet"
-    /// to a poller.
-    pub fn try_result(&mut self) -> Option<&JobReport> {
-        self.inner.try_result()
-    }
-}
-
-/// The completion handle of one submitted [`SweepJob`](super::SweepJob); see
-/// [`JobHandle`] for the waiting contract.
-#[derive(Debug)]
-pub struct SweepHandle {
-    inner: Handle<SweepReport>,
-}
-
-impl SweepHandle {
-    pub(super) fn new(rx: mpsc::Receiver<SweepReport>) -> SweepHandle {
-        SweepHandle {
-            inner: Handle::new(rx),
+    /// A handle whose outcome is already available (an empty sweep: no work
+    /// was enqueued).
+    pub(super) fn ready(outcome: RequestOutcome) -> RequestHandle {
+        RequestHandle {
+            inner: Handle::ready(outcome),
         }
     }
 
-    /// A handle for an empty sweep: the report is available immediately and no
-    /// work was enqueued.
-    pub(super) fn ready(report: SweepReport) -> SweepHandle {
-        SweepHandle {
-            inner: Handle::ready(report),
-        }
-    }
-
-    /// Blocks until every valuation has run and returns the assembled report.
+    /// Blocks until the request has run (every valuation, for a sweep) and
+    /// returns its outcome.
     ///
     /// # Panics
     ///
-    /// Panics if a worker executing part of the sweep panicked.
-    pub fn wait(self) -> SweepReport {
+    /// Panics if a worker executing the request panicked (the outcome channel
+    /// is closed without a report — the pool itself never drops a task).
+    pub fn wait(self) -> RequestOutcome {
         self.inner.wait()
     }
 
-    /// Returns the report if the whole sweep has already finished, without
-    /// blocking; an observed report is kept for a later [`wait`](Self::wait).
+    /// Returns the outcome if the request has already finished, without
+    /// blocking.  An outcome observed here is kept, so a later
+    /// [`wait`](Self::wait) (or repeated `try_result` calls) still return it.
     ///
     /// # Panics
     ///
-    /// Panics if a worker executing part of the sweep panicked (same
-    /// condition as [`wait`](Self::wait)).
-    pub fn try_result(&mut self) -> Option<&SweepReport> {
+    /// Panics if a worker executing the request panicked (same condition as
+    /// [`wait`](Self::wait)) — a dead request must not look like "not ready
+    /// yet" to a poller.
+    pub fn try_result(&mut self) -> Option<&RequestOutcome> {
         self.inner.try_result()
     }
 }
@@ -181,16 +150,15 @@ pub(super) struct SweepState {
     /// Submission time; the report's wall clock covers queueing too.
     started: Instant,
     parametric: OnceLock<ParametricOutcome>,
-    /// The spec's concrete valuations, resolved by the head task (the
-    /// symbolic forms need the built model's
-    /// [`ParamTable`](crate::parametric::ParamTable)).  A resolution error
-    /// lands in every point's report instead of aborting the sweep.
+    /// The spec's concrete valuations, resolved by the head task once the
+    /// model is known to build.  A resolution error lands in every point's
+    /// report instead of aborting the sweep.
     resolved: OnceLock<Result<Vec<Valuation>>>,
     slots: Mutex<Vec<Option<SweepPointReport>>>,
     remaining: AtomicUsize,
     /// `Sender` is `Send` but not `Sync`; only the final point task ever uses
     /// it, so a mutex costs nothing.
-    tx: Mutex<mpsc::Sender<SweepReport>>,
+    tx: Mutex<mpsc::Sender<RequestOutcome>>,
 }
 
 impl SweepState {
@@ -200,7 +168,7 @@ impl SweepState {
         measures: Vec<Measure>,
         spec: SweepSpec,
         workers: usize,
-        tx: mpsc::Sender<SweepReport>,
+        tx: mpsc::Sender<RequestOutcome>,
     ) -> SweepState {
         let structural = dft.structural_fingerprint();
         let points = spec.len();
@@ -227,12 +195,17 @@ impl SweepState {
     }
 
     /// The head task: get-or-build the shared parametric model, then resolve
-    /// the spec into concrete valuations against its parameter table.
+    /// the spec into concrete valuations.
+    ///
+    /// The spec resolves against the *request's own* tree, never the cached
+    /// model's table: the cache is keyed by rate-blind structure, so the
+    /// model may have been built from a rate variant (or loaded from the
+    /// store) whose base rates are not this request's.
     pub(super) fn build(&self, core: &ServiceCore) {
         let build_start = Instant::now();
         let (model, cache_hit) = core.parametric(self.structural, &self.dft, &self.options);
         let resolved = match &model {
-            Ok(model) => self.spec.resolve(model.params()),
+            Ok(_) => self.spec.resolve(&ParamTable::from_dft(&self.dft)),
             // The model failed to build: every point will report the build
             // error, so the valuations are moot.  Table-free specs still
             // resolve (keeping the classic per-point fingerprints); symbolic
@@ -344,6 +317,6 @@ impl SweepState {
             .tx
             .lock()
             .expect("sweep sender")
-            .send(SweepReport { points, stats });
+            .send(RequestOutcome::Sweep(SweepReport { points, stats }));
     }
 }

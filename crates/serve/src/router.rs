@@ -63,7 +63,7 @@ use crate::http::Request;
 use crate::json::{self, Json};
 use crate::metrics::{self, bump, json_count, HttpCounters};
 use crate::registry::{Lookup, Registry};
-use dft_core::service::{AnalysisService, RequestHandle, RequestOutcome};
+use dft_core::service::{AnalysisService, RequestOutcome};
 use dft_core::{AnalysisRequest, JobReport, MeasureResult, RequestError, SweepReport};
 use std::time::Instant;
 
@@ -215,15 +215,12 @@ impl Router {
         if !sweep && parsed.sweep.is_some() {
             return Err(bad("this request carries a sweep; POST it to /sweep"));
         }
-        let throttled = || ApiError {
-            status: 429,
-            message: "too many in-flight jobs; retry after fetching results".to_owned(),
-        };
-        let id = match self.service.submit_request(parsed) {
-            RequestHandle::Sweep(handle) => self.registry.add_sweep(handle),
-            RequestHandle::Job(handle) => self.registry.add_job(handle),
-        };
-        id.ok_or_else(throttled)
+        self.registry
+            .add(self.service.submit_request(parsed))
+            .ok_or_else(|| ApiError {
+                status: 429,
+                message: "too many in-flight jobs; retry after fetching results".to_owned(),
+            })
     }
 
     fn lookup(&self, raw_id: &str, want_result: bool) -> Reply {
@@ -240,9 +237,8 @@ impl Router {
             Lookup::Failed => reply(200, &status_doc("failed")),
             Lookup::Pending if want_result => reply(202, &status_doc("pending")),
             Lookup::Pending => reply(200, &status_doc("pending")),
-            Lookup::Job(report) if want_result => reply(200, &render_job(id, &report)),
-            Lookup::Sweep(report) if want_result => reply(200, &render_sweep(id, &report)),
-            Lookup::Job(_) | Lookup::Sweep(_) => reply(200, &status_doc("done")),
+            Lookup::Done(outcome) if want_result => reply(200, &render(id, &outcome)),
+            Lookup::Done(_) => reply(200, &status_doc("done")),
         }
     }
 
@@ -296,10 +292,17 @@ fn render_point(point: &dft_core::MeasurePoint) -> Json {
     ])
 }
 
-/// The report fields of a finished job, in the order `GET /result/{id}`
+/// The report fields of a finished request, in the order `GET /result/{id}`
 /// renders them.  Public because the `dftmc` CLI builds its result document
 /// from the same fields — one renderer, so both surfaces stay bit-identical.
-pub fn job_fields(report: &JobReport) -> Vec<(String, Json)> {
+pub fn outcome_fields(outcome: &RequestOutcome) -> Vec<(String, Json)> {
+    match outcome {
+        RequestOutcome::Job(report) => job_fields(report),
+        RequestOutcome::Sweep(report) => sweep_fields(report),
+    }
+}
+
+fn job_fields(report: &JobReport) -> Vec<(String, Json)> {
     let (results_key, results) = render_results(&report.results);
     vec![
         ("fingerprint".to_owned(), report.fingerprint.into()),
@@ -314,9 +317,7 @@ pub fn job_fields(report: &JobReport) -> Vec<(String, Json)> {
     ]
 }
 
-/// The report fields of a finished sweep, in the order `GET /result/{id}`
-/// renders them; see [`job_fields`].
-pub fn sweep_fields(report: &SweepReport) -> Vec<(String, Json)> {
+fn sweep_fields(report: &SweepReport) -> Vec<(String, Json)> {
     let stats = &report.stats;
     let points = report
         .points
@@ -357,30 +358,13 @@ pub fn sweep_fields(report: &SweepReport) -> Vec<(String, Json)> {
     ]
 }
 
-/// The report fields of either request outcome; dispatches to
-/// [`job_fields`]/[`sweep_fields`].
-pub fn outcome_fields(outcome: &RequestOutcome) -> Vec<(String, Json)> {
-    match outcome {
-        RequestOutcome::Job(report) => job_fields(report),
-        RequestOutcome::Sweep(report) => sweep_fields(report),
-    }
-}
-
-fn render_job(id: u64, report: &JobReport) -> Json {
+/// The `GET /result/{id}` document of a finished request.
+fn render(id: u64, outcome: &RequestOutcome) -> Json {
     let mut entries = vec![
         ("id".to_owned(), json_count(id)),
         ("status".to_owned(), "done".into()),
     ];
-    entries.extend(job_fields(report));
-    Json::Obj(entries)
-}
-
-fn render_sweep(id: u64, report: &SweepReport) -> Json {
-    let mut entries = vec![
-        ("id".to_owned(), json_count(id)),
-        ("status".to_owned(), "done".into()),
-    ];
-    entries.extend(sweep_fields(report));
+    entries.extend(outcome_fields(outcome));
     Json::Obj(entries)
 }
 
@@ -612,6 +596,58 @@ mod tests {
             panic!("no points in {}", reply.body);
         };
         assert_eq!(points.len(), 4);
+    }
+
+    /// The value of the first point of the first result of a sweep result
+    /// document.
+    fn first_sweep_value(done: &Json) -> f64 {
+        let Some(Json::Arr(points)) = field(done, "points") else {
+            panic!("no points in {}", done.render());
+        };
+        let Some(Json::Arr(results)) = field(&points[0], "results") else {
+            panic!("no results in {}", done.render());
+        };
+        let Some(Json::Arr(values)) = field(&results[0], "points") else {
+            panic!("no result points in {}", done.render());
+        };
+        num_field(&values[0], "value").expect("a numeric value")
+    }
+
+    #[test]
+    fn sweeps_of_rate_variants_resolve_against_their_own_rates() {
+        use dft_core::casestudies::{cas, cas_scaled};
+        use dft_core::{AnalysisOptions, Measure, ParametricAnalyzer};
+
+        // Two rate variants of one structure share the cached parametric
+        // model, yet each sweep's base must be its own tree's rates.
+        let router = router();
+        let body = |dft: &dft::Dft| {
+            Json::obj([
+                ("galileo", Json::Str(dft::galileo::to_galileo(dft))),
+                (
+                    "queries",
+                    Json::Arr(vec![
+                        "unreliability 1".into(),
+                        "sweep scale in 1..1 step 1".into(),
+                    ]),
+                ),
+            ])
+            .render()
+        };
+        let doubled = cas_scaled(2.0);
+        for (id, dft) in [(1, cas()), (2, doubled.clone())] {
+            let reply = router.handle(&post("/sweep", &body(&dft)));
+            assert_eq!(reply.status, 202, "{}", reply.body);
+            let value = first_sweep_value(&wait_done(&router, id));
+            let parametric = ParametricAnalyzer::new(&dft, AnalysisOptions::default()).unwrap();
+            let expected = parametric
+                .instantiate(&parametric.base_valuation())
+                .unwrap()
+                .query(Measure::Unreliability(1.0))
+                .unwrap()
+                .value();
+            assert_eq!(value.to_bits(), expected.to_bits(), "request {id}");
+        }
     }
 
     #[test]

@@ -12,12 +12,19 @@
 //! Run with `cargo run --release --example async_service`.
 
 use dftmc::dft_core::casestudies::{cas, cas_scaled};
-use dftmc::dft_core::engine::ParametricAnalyzer;
 use dftmc::dft_core::service::{
-    AnalysisJob, AnalysisService, JobHandle, JobReport, ServiceOptions, SweepJob,
+    AnalysisService, JobReport, RequestHandle, RequestOutcome, ServiceOptions,
 };
-use dftmc::dft_core::{AnalysisOptions, Measure};
+use dftmc::dft_core::{AnalysisRequest, Measure, SweepSpec};
 use std::sync::Arc;
+
+/// A request for the unreliability at t = 1.
+fn unreliability_request(dft: dftmc::dft::Dft) -> AnalysisRequest {
+    AnalysisRequest {
+        measures: vec![Measure::Unreliability(1.0)],
+        ..AnalysisRequest::new(dft)
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     const CLIENTS: usize = 3;
@@ -33,18 +40,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|c| {
                 let service = Arc::clone(&service);
                 scope.spawn(move || {
-                    let handles: Vec<JobHandle> = (0..JOBS_EACH)
+                    let handles: Vec<RequestHandle> = (0..JOBS_EACH)
                         .map(|j| {
-                            service.submit(AnalysisJob::new(
+                            service.submit_request(unreliability_request(
                                 // Offset per client: the same designs, hit in
                                 // a different order by everyone.
                                 cas_scaled(1.0 + 0.1 * ((c + j) % DESIGNS) as f64),
-                                AnalysisOptions::default(),
-                                vec![Measure::Unreliability(1.0)],
                             ))
                         })
                         .collect();
-                    handles.into_iter().map(JobHandle::wait).collect::<Vec<_>>()
+                    handles
+                        .into_iter()
+                        .map(|h| h.wait().into_job().expect("no sweep attached"))
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
@@ -75,18 +83,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A sweep rides the same queue: the head task builds (or fetches) the
     // shared parametric model, the valuations fan out across the pool.
-    let parametric = ParametricAnalyzer::new(&cas(), AnalysisOptions::default())?;
-    let valuations: Vec<_> = (0..8)
-        .map(|i| parametric.params().scaled_valuation(1.0 + 0.05 * i as f64))
-        .collect();
+    let scales: Vec<f64> = (0..8).map(|i| 1.0 + 0.05 * i as f64).collect();
     let sweep = service
-        .submit_sweep(SweepJob::new(
-            cas(),
-            AnalysisOptions::default(),
-            vec![Measure::Unreliability(1.0)],
-            valuations,
-        ))
-        .wait();
+        .submit_request(AnalysisRequest {
+            sweep: Some(SweepSpec::FailureScales(scales)),
+            ..unreliability_request(cas())
+        })
+        .wait()
+        .into_sweep()
+        .expect("a sweep was attached");
     println!(
         "sweep: {} valuations, {} aggregation run(s), parametric cache hit: {}",
         sweep.stats.valuations, sweep.stats.aggregation_runs, sweep.stats.parametric_cache_hit
@@ -100,15 +105,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Non-blocking collection: poll with try_result, then do other work.
-    let mut handle = service.submit(AnalysisJob::new(
-        cas_scaled(2.0),
-        AnalysisOptions::default(),
-        vec![Measure::Unreliability(1.0)],
-    ));
+    let mut handle = service.submit_request(unreliability_request(cas_scaled(2.0)));
     let mut polls = 0usize;
     let report = loop {
-        if handle.try_result().is_some() {
-            break handle.wait();
+        if let Some(RequestOutcome::Job(report)) = handle.try_result() {
+            break report.clone();
         }
         polls += 1;
         std::thread::yield_now();

@@ -6,8 +6,8 @@
 //! Run with `cargo run --example quickstart`.
 
 use dftmc::dft::{DftBuilder, Dormancy};
-use dftmc::dft_core::service::{AnalysisJob, AnalysisService, ServiceOptions};
-use dftmc::dft_core::{AnalysisOptions, Measure, Method};
+use dftmc::dft_core::service::{AnalysisService, ServiceOptions};
+use dftmc::dft_core::{AnalysisOptions, AnalysisRequest, JobReport, Measure, Method};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A power supply backed by a cold-standby generator; both feed a controller
@@ -36,20 +36,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One service fronts every analysis; sessions are cached by structure.
     let service = AnalysisService::new(ServiceOptions::default());
 
-    // One job answers the whole sweep, the point query and the MTTF in a single
-    // batch — all measures share one cached model and one uniformisation pass.
+    // One request answers the whole sweep, the point query and the MTTF —
+    // all measures share one cached model and one uniformisation pass.
+    let run = |request: AnalysisRequest| -> JobReport {
+        service
+            .run_request(request)
+            .into_job()
+            .expect("a request without a sweep")
+    };
     let t = 1.0;
-    let report = service.run_batch(&[AnalysisJob::new(
-        dft.clone(),
-        AnalysisOptions::default(),
-        vec![
+    let report = run(AnalysisRequest {
+        measures: vec![
             Measure::curve([0.5, 1.0, 2.0, 5.0]),
             Measure::Unreliability(t),
             Measure::Mttf,
         ],
-    )]);
-    let job = &report.jobs[0];
-    let results = job.results.as_ref().map_err(Clone::clone)?;
+        ..AnalysisRequest::new(dft.clone())
+    });
+    let results = report.results?;
 
     println!("\n mission time |  unreliability");
     println!(" -------------+---------------");
@@ -63,30 +67,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nmean time to failure: {:.4}", results[2].value());
 
     // Cross-check the point query against the monolithic baseline — a second
-    // job in the same service, under a different cache key.
-    let monolithic = service.run_batch(&[AnalysisJob::new(
-        dft.clone(),
-        AnalysisOptions {
+    // request to the same service, under a different cache key.
+    let monolithic = run(AnalysisRequest {
+        options: AnalysisOptions {
             method: Method::Monolithic,
             ..AnalysisOptions::default()
         },
-        vec![Measure::Unreliability(t)],
-    )]);
+        measures: vec![Measure::Unreliability(t)],
+        ..AnalysisRequest::new(dft.clone())
+    });
     println!(
         "\nat t = {t}: compositional {:.6} vs monolithic {:.6}",
         results[1].value(),
-        monolithic.jobs[0].results.as_ref().map_err(Clone::clone)?[0].value()
+        monolithic.results?[0].value()
     );
 
     // Resubmitting the same structure is a cache hit: no aggregation runs.
-    let resubmitted = service.run_batch(&[AnalysisJob::new(
-        dft,
-        AnalysisOptions::default(),
-        vec![Measure::Unreliability(2.0)],
-    )]);
+    let resubmitted = run(AnalysisRequest {
+        measures: vec![Measure::Unreliability(2.0)],
+        ..AnalysisRequest::new(dft)
+    });
     println!(
         "\nresubmission: cache hit = {}, aggregation runs = {}",
-        resubmitted.jobs[0].cache_hit, resubmitted.stats.aggregation_runs
+        resubmitted.cache_hit, resubmitted.aggregation_runs
     );
     let stats = service.cache_stats();
     println!(

@@ -5,23 +5,31 @@
 //! of states.  We check the probability against both analysis methods and keep an
 //! eye on the model sizes.
 
-// These tests deliberately pin the deprecated one-shot wrappers' behaviour
-// against the session engine; see `dft_core::analysis` for the migration.
-#![allow(deprecated)]
-use dftmc::dft_core::analysis::{aggregated_model, unreliability, AnalysisOptions, Method};
+use dftmc::dft::Dft;
+use dftmc::dft_core::analysis::{aggregated_model, AnalysisOptions, Method};
 use dftmc::dft_core::baseline::monolithic_ctmc;
 use dftmc::dft_core::casestudies::{
     cas, cas_cpu_unit, cas_motor_unit, cas_pump_unit, CAS_PAPER_UNRELIABILITY,
 };
+use dftmc::dft_core::engine::Analyzer;
+
+fn session(dft: &Dft, method: Method) -> Analyzer {
+    let options = AnalysisOptions {
+        method,
+        ..AnalysisOptions::default()
+    };
+    Analyzer::new(dft, options).expect("analysis succeeds")
+}
 
 #[test]
 fn cas_unreliability_matches_the_paper() {
-    let dft = cas();
-    let result = unreliability(&dft, 1.0, &AnalysisOptions::default()).expect("analysis succeeds");
+    let result = session(&cas(), Method::Compositional)
+        .unreliability(1.0)
+        .expect("analysis succeeds");
     assert!(
-        (result.probability() - CAS_PAPER_UNRELIABILITY).abs() < 5e-4,
+        (result.value() - CAS_PAPER_UNRELIABILITY).abs() < 5e-4,
         "compositional unreliability {} vs paper {CAS_PAPER_UNRELIABILITY}",
-        result.probability()
+        result.value()
     );
     // The FDEP trigger fails both CPUs at the same instant; the resulting ordering
     // non-determinism is confluent, so the bounds must coincide.
@@ -34,28 +42,20 @@ fn cas_unreliability_matches_the_paper() {
 
 #[test]
 fn cas_monolithic_baseline_agrees() {
-    let dft = cas();
-    let mono = unreliability(
-        &dft,
-        1.0,
-        &AnalysisOptions {
-            method: Method::Monolithic,
-            ..AnalysisOptions::default()
-        },
-    )
-    .expect("baseline succeeds");
-    assert!((mono.probability() - CAS_PAPER_UNRELIABILITY).abs() < 5e-4);
+    let mono = session(&cas(), Method::Monolithic)
+        .unreliability(1.0)
+        .expect("baseline succeeds");
+    assert!((mono.value() - CAS_PAPER_UNRELIABILITY).abs() < 5e-4);
 }
 
 #[test]
 fn cas_unreliability_is_monotone_in_time() {
-    let dft = cas();
-    let options = AnalysisOptions::default();
+    let analyzer = session(&cas(), Method::Compositional);
     let mut previous = 0.0;
     for t in [0.25, 0.5, 1.0, 2.0] {
-        let r = unreliability(&dft, t, &options).expect("analysis succeeds");
-        assert!(r.probability() >= previous - 1e-12);
-        previous = r.probability();
+        let r = analyzer.unreliability(t).expect("analysis succeeds");
+        assert!(r.value() >= previous - 1e-12);
+        previous = r.value();
     }
     assert!(previous < 1.0);
 }
@@ -90,19 +90,15 @@ fn cas_module_unreliabilities_compose_to_the_system_value() {
     // The three units are independent and the system is an OR over them, so the
     // system unreliability must equal 1 - prod(1 - U_i).  This is exactly the
     // modular-analysis argument of the paper.
-    let options = AnalysisOptions::default();
-    let t = 1.0;
-    let u_cpu = unreliability(&cas_cpu_unit(), t, &options)
-        .unwrap()
-        .probability();
-    let u_motor = unreliability(&cas_motor_unit(), t, &options)
-        .unwrap()
-        .probability();
-    let u_pump = unreliability(&cas_pump_unit(), t, &options)
-        .unwrap()
-        .probability();
+    let u = |dft: Dft| {
+        session(&dft, Method::Compositional)
+            .unreliability(1.0)
+            .unwrap()
+            .value()
+    };
+    let (u_cpu, u_motor, u_pump) = (u(cas_cpu_unit()), u(cas_motor_unit()), u(cas_pump_unit()));
     let composed = 1.0 - (1.0 - u_cpu) * (1.0 - u_motor) * (1.0 - u_pump);
-    let system = unreliability(&cas(), t, &options).unwrap().probability();
+    let system = u(cas());
     assert!(
         (composed - system).abs() < 1e-6,
         "modular composition {composed} vs direct analysis {system}"

@@ -5,12 +5,20 @@
 //! non-deterministic.  The framework must (a) detect this, (b) report bounds, and
 //! (c) keep the bounds tight (equal) whenever the non-determinism is confluent.
 
-// These tests deliberately pin the deprecated one-shot wrappers' behaviour
-// against the session engine; see `dft_core::analysis` for the migration.
-#![allow(deprecated)]
-
 use dftmc::dft::{Dft, DftBuilder, Dormancy};
-use dftmc::dft_core::analysis::{unreliability, AnalysisOptions};
+use dftmc::dft_core::{AnalysisOptions, Analyzer, MeasureResult, Method};
+
+/// The unreliability of `dft` at mission time 1 under `method`, from a fresh
+/// session.
+fn unreliability_at_1(dft: &Dft, method: Method) -> MeasureResult {
+    let options = AnalysisOptions {
+        method,
+        ..AnalysisOptions::default()
+    };
+    Analyzer::new(dft, options)
+        .and_then(|analyzer| analyzer.unreliability(1.0))
+        .expect("analysis succeeds")
+}
 
 /// Figure 6(a): a PAND gate whose two inputs share an FDEP trigger.
 fn figure_6a(trigger_rate: f64) -> Dft {
@@ -26,13 +34,13 @@ fn figure_6a(trigger_rate: f64) -> Dft {
 #[test]
 fn fdep_under_a_pand_is_detected_as_nondeterministic() {
     let dft = figure_6a(0.5);
-    let r = unreliability(&dft, 1.0, &AnalysisOptions::default()).expect("analysis succeeds");
+    let r = unreliability_at_1(&dft, Method::Compositional);
     assert!(r.is_nondeterministic());
     let (lo, hi) = r.bounds();
     assert!(lo < hi, "expected a proper interval, got [{lo}, {hi}]");
     assert!(lo >= 0.0 && hi <= 1.0);
-    // The pessimistic value reported by `probability()` is the upper bound.
-    assert!((r.probability() - hi).abs() < 1e-12);
+    // The pessimistic value reported by `value()` is the upper bound.
+    assert!((r.value() - hi).abs() < 1e-12);
 }
 
 #[test]
@@ -41,10 +49,9 @@ fn interval_width_equals_probability_that_the_order_matters() {
     // trigger fires before both A and B have failed naturally *and* A has not yet
     // failed (if A already failed in order, the PAND outcome is already decided).
     // A cheap sanity check: the width grows with the trigger rate.
-    let options = AnalysisOptions::default();
-    let narrow = unreliability(&figure_6a(0.1), 1.0, &options).unwrap();
-    let wide = unreliability(&figure_6a(2.0), 1.0, &options).unwrap();
-    let width = |r: &dftmc::dft_core::analysis::UnreliabilityResult| {
+    let narrow = unreliability_at_1(&figure_6a(0.1), Method::Compositional);
+    let wide = unreliability_at_1(&figure_6a(2.0), Method::Compositional);
+    let width = |r: &MeasureResult| {
         let (lo, hi) = r.bounds();
         hi - lo
     };
@@ -63,7 +70,7 @@ fn confluent_nondeterminism_keeps_bounds_tight() {
     let _fdep = b.fdep_gate("nd_FDEP", t, &[a, bb]).unwrap();
     let top = b.and_gate("nd_system", &[a, bb]).unwrap();
     let dft = b.build(top).unwrap();
-    let r = unreliability(&dft, 1.0, &AnalysisOptions::default()).unwrap();
+    let r = unreliability_at_1(&dft, Method::Compositional);
     let (lo, hi) = r.bounds();
     assert!(
         (hi - lo).abs() < 1e-9,
@@ -75,24 +82,14 @@ fn confluent_nondeterminism_keeps_bounds_tight() {
 fn bounds_bracket_the_deterministic_resolution_of_the_baseline() {
     // The monolithic baseline resolves simultaneous failures deterministically in
     // input order; its value must lie within the CTMDP bounds.
-    use dftmc::dft_core::analysis::Method;
     let dft = figure_6a(0.5);
-    let options = AnalysisOptions::default();
-    let comp = unreliability(&dft, 1.0, &options).unwrap();
-    let mono = unreliability(
-        &dft,
-        1.0,
-        &AnalysisOptions {
-            method: Method::Monolithic,
-            ..options
-        },
-    )
-    .unwrap();
+    let comp = unreliability_at_1(&dft, Method::Compositional);
+    let mono = unreliability_at_1(&dft, Method::Monolithic);
     let (lo, hi) = comp.bounds();
     assert!(
-        mono.probability() >= lo - 1e-9 && mono.probability() <= hi + 1e-9,
+        mono.value() >= lo - 1e-9 && mono.value() <= hi + 1e-9,
         "baseline {} outside [{lo}, {hi}]",
-        mono.probability()
+        mono.value()
     );
 }
 
@@ -110,7 +107,7 @@ fn spare_contention_after_a_common_trigger_is_nondeterministic() {
     let right = b.spare_gate("sc_right", &[bb, s]).unwrap();
     let top = b.pand_gate("sc_system", &[left, right]).unwrap();
     let dft = b.build(top).unwrap();
-    let r = unreliability(&dft, 1.0, &AnalysisOptions::default()).unwrap();
+    let r = unreliability_at_1(&dft, Method::Compositional);
     assert!(r.is_nondeterministic());
     let (lo, hi) = r.bounds();
     assert!(hi > lo);

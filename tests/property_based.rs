@@ -10,14 +10,28 @@
 //! minimal generator); every run therefore replays the exact same cases, and a
 //! failing case is reproduced by its printed seed.
 
-// These tests deliberately pin the deprecated one-shot wrappers' behaviour
-// against the session engine; see `dft_core::analysis` for the migration.
-#![allow(deprecated)]
-use dftmc::dft::{DftBuilder, Dormancy, ElementId};
-use dftmc::dft_core::analysis::{unreliability, AnalysisOptions, Method};
+use dftmc::dft::{Dft, DftBuilder, Dormancy, ElementId};
+use dftmc::dft_core::{AnalysisOptions, Analyzer, Method};
 
 mod common;
 use common::{build_module, build_static_tree, random_recipe, Gen};
+
+/// A fresh session over `dft` with the given method.
+fn session(dft: &Dft, method: Method) -> Analyzer {
+    let options = AnalysisOptions {
+        method,
+        ..AnalysisOptions::default()
+    };
+    Analyzer::new(dft, options).unwrap()
+}
+
+/// The unreliability of `dft` at mission time `t`, compositionally.
+fn unreliability_at(dft: &Dft, t: f64) -> f64 {
+    session(dft, Method::Compositional)
+        .unreliability(t)
+        .unwrap()
+        .value()
+}
 
 /// The compositional and monolithic analyses must agree on arbitrary static
 /// fault trees.
@@ -28,25 +42,19 @@ fn compositional_matches_monolithic_on_static_trees() {
         let recipe = random_recipe(&mut gen);
         let t = gen.f64_in(0.1, 2.0);
         let dft = build_static_tree(&recipe, &format!("pba{case}"));
-        let comp = unreliability(&dft, t, &AnalysisOptions::default()).unwrap();
-        let mono = unreliability(
-            &dft,
-            t,
-            &AnalysisOptions {
-                method: Method::Monolithic,
-                ..AnalysisOptions::default()
-            },
-        )
-        .unwrap();
+        let comp = session(&dft, Method::Compositional)
+            .unreliability(t)
+            .unwrap();
+        let mono = session(&dft, Method::Monolithic).unreliability(t).unwrap();
         assert!(!comp.is_nondeterministic(), "case {case}");
         assert!(
-            (comp.probability() - mono.probability()).abs() < 1e-6,
+            (comp.value() - mono.value()).abs() < 1e-6,
             "case {case}: compositional {} vs monolithic {}",
-            comp.probability(),
-            mono.probability()
+            comp.value(),
+            mono.value()
         );
         assert!(
-            comp.probability() >= -1e-12 && comp.probability() <= 1.0 + 1e-12,
+            comp.value() >= -1e-12 && comp.value() <= 1.0 + 1e-12,
             "case {case}"
         );
     }
@@ -61,11 +69,9 @@ fn unreliability_is_monotone_in_time() {
         let t1 = gen.f64_in(0.1, 1.0);
         let delta = gen.f64_in(0.1, 1.0);
         let dft = build_static_tree(&recipe, &format!("pbm{case}"));
-        let options = AnalysisOptions::default();
-        let early = unreliability(&dft, t1, &options).unwrap().probability();
-        let late = unreliability(&dft, t1 + delta, &options)
-            .unwrap()
-            .probability();
+        let analyzer = session(&dft, Method::Compositional);
+        let early = analyzer.unreliability(t1).unwrap().value();
+        let late = analyzer.unreliability(t1 + delta).unwrap().value();
         assert!(
             late >= early - 1e-9,
             "case {case}: unreliability decreased: {early} -> {late}"
@@ -95,9 +101,7 @@ fn or_of_exponentials_is_exponential() {
         let dft = b.build(top).unwrap();
         let total: f64 = rates.iter().sum();
         let exact = 1.0 - (-total * t).exp();
-        let computed = unreliability(&dft, t, &AnalysisOptions::default())
-            .unwrap()
-            .probability();
+        let computed = unreliability_at(&dft, t);
         assert!(
             (computed - exact).abs() < 1e-6,
             "case {case}: {computed} vs {exact}"
@@ -127,9 +131,7 @@ fn and_of_exponentials_is_a_product() {
         let top = b.and_gate(&format!("and{case}_top"), &events).unwrap();
         let dft = b.build(top).unwrap();
         let exact: f64 = rates.iter().map(|&r| 1.0 - (-r * t).exp()).product();
-        let computed = unreliability(&dft, t, &AnalysisOptions::default())
-            .unwrap()
-            .probability();
+        let computed = unreliability_at(&dft, t);
         assert!(
             (computed - exact).abs() < 1e-6,
             "case {case}: {computed} vs {exact}"
@@ -167,9 +169,7 @@ fn cold_spare_chain_is_erlang() {
             sum += term;
         }
         let exact = 1.0 - (-rate * t).exp() * sum;
-        let computed = unreliability(&dft, t, &AnalysisOptions::default())
-            .unwrap()
-            .probability();
+        let computed = unreliability_at(&dft, t);
         assert!(
             (computed - exact).abs() < 1e-6,
             "case {case}: {computed} vs {exact}"
@@ -192,21 +192,15 @@ fn compositional_matches_monolithic_on_pand_over_modules() {
         let top = b.pand_gate(&format!("pb{case}_pand_top"), &[l, r]).unwrap();
         let dft = b.build(top).unwrap();
 
-        let comp = unreliability(&dft, t, &AnalysisOptions::default()).unwrap();
-        let mono = unreliability(
-            &dft,
-            t,
-            &AnalysisOptions {
-                method: Method::Monolithic,
-                ..AnalysisOptions::default()
-            },
-        )
-        .unwrap();
+        let comp = session(&dft, Method::Compositional)
+            .unreliability(t)
+            .unwrap();
+        let mono = session(&dft, Method::Monolithic).unreliability(t).unwrap();
         assert!(
-            (comp.probability() - mono.probability()).abs() < 1e-6,
+            (comp.value() - mono.value()).abs() < 1e-6,
             "case {case}: compositional {} vs monolithic {}",
-            comp.probability(),
-            mono.probability()
+            comp.value(),
+            mono.value()
         );
     }
 }

@@ -11,15 +11,17 @@
 //! 4. [`Analyzer::query_all`] answers a mixed measure batch in one pass,
 //!    bit-identical to individual queries,
 //! 5. empty curves are rejected with the typed [`Error::EmptyCurve`] instead of
-//!    panicking in the result accessors.
+//!    panicking in the result accessors,
+//! 6. sweeps share one parametric model per structure, yet each request's
+//!    symbolic sweep resolves against its own tree's rates.
 
 use dftmc::dft::{Dft, DftBuilder, Dormancy};
 use dftmc::dft_core::casestudies::{cas, cas_scaled, DEFAULT_MISSION_TIMES};
-use dftmc::dft_core::engine::Analyzer;
+use dftmc::dft_core::engine::{Analyzer, ParametricAnalyzer};
 use dftmc::dft_core::service::{
-    AnalysisJob, AnalysisService, JobHandle, JobReport, ServiceOptions, SweepHandle,
+    AnalysisService, JobReport, RequestHandle, ServiceOptions, SweepReport,
 };
-use dftmc::dft_core::{AnalysisOptions, Error, Measure, MeasureResult};
+use dftmc::dft_core::{AnalysisOptions, AnalysisRequest, Error, Measure, MeasureResult, SweepSpec};
 use std::sync::Arc;
 
 /// The load-bearing auto-trait guarantees, checked at compile time: the worker
@@ -30,11 +32,61 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send_sync::<Analyzer>();
     assert_send_sync::<AnalysisService>();
-    assert_send_sync::<AnalysisJob>();
+    assert_send_sync::<AnalysisRequest>();
     assert_send_sync::<Measure>();
-    assert_send::<JobHandle>();
-    assert_send::<SweepHandle>()
+    assert_send::<RequestHandle>()
 };
+
+/// A plain request over `dft` with default options.
+fn request(dft: Dft, measures: Vec<Measure>) -> AnalysisRequest {
+    AnalysisRequest {
+        measures,
+        ..AnalysisRequest::new(dft)
+    }
+}
+
+/// A sweep request over `dft`.
+fn sweep(
+    dft: Dft,
+    options: AnalysisOptions,
+    measures: Vec<Measure>,
+    spec: SweepSpec,
+) -> AnalysisRequest {
+    AnalysisRequest {
+        dft,
+        options,
+        measures,
+        sweep: Some(spec),
+    }
+}
+
+/// Submits every request, then waits for all of them: the reports come back
+/// in submission order.
+fn run_all(service: &AnalysisService, requests: &[AnalysisRequest]) -> Vec<JobReport> {
+    let handles: Vec<RequestHandle> = requests
+        .iter()
+        .map(|r| service.submit_request(r.clone()))
+        .collect();
+    handles
+        .into_iter()
+        .map(|h| h.wait().into_job().expect("a plain request"))
+        .collect()
+}
+
+fn run_sweep_request(service: &AnalysisService, request: AnalysisRequest) -> SweepReport {
+    service
+        .run_request(request)
+        .into_sweep()
+        .expect("a sweep request")
+}
+
+fn cache_misses(reports: &[JobReport]) -> usize {
+    reports.iter().filter(|r| !r.cache_hit).count()
+}
+
+fn aggregation_runs(reports: &[JobReport]) -> usize {
+    reports.iter().map(|r| r.aggregation_runs).sum()
+}
 
 fn bits_of(result: &MeasureResult) -> Vec<(Option<u64>, u64, u64, u64)> {
     result
@@ -105,31 +157,32 @@ fn duplicate_fingerprints_aggregate_once_per_distinct_tree() {
         ..ServiceOptions::default()
     });
     let rates = [1.0, 1.25, 1.5];
-    let jobs: Vec<AnalysisJob> = (0..9)
+    let requests: Vec<AnalysisRequest> = (0..9)
         .map(|i| {
-            AnalysisJob::new(
+            request(
                 variant(&format!("svc{i}"), rates[i % rates.len()]),
-                AnalysisOptions::default(),
                 vec![Measure::Unreliability(1.0)],
             )
         })
         .collect();
 
-    let report = service.run_batch(&jobs);
-    assert_eq!(report.stats.jobs, 9);
+    let reports = run_all(&service, &requests);
+    assert_eq!(reports.len(), 9);
     assert_eq!(
-        report.stats.aggregation_runs,
+        aggregation_runs(&reports),
         rates.len(),
         "aggregation must run once per distinct tree, not per job"
     );
-    assert_eq!(report.stats.cache_misses, rates.len());
-    assert_eq!(report.stats.cache_hits, jobs.len() - rates.len());
+    assert_eq!(cache_misses(&reports), rates.len());
+    assert_eq!(
+        reports.len() - cache_misses(&reports),
+        requests.len() - rates.len()
+    );
 
     // Every copy of the same structure reports the same fingerprint and
     // bit-identical results, whatever its element names were.
     let base_fp = variant("fresh", 1.0).fingerprint();
-    let base_jobs: Vec<_> = report
-        .jobs
+    let base_jobs: Vec<_> = reports
         .iter()
         .filter(|j| j.fingerprint == base_fp)
         .collect();
@@ -147,17 +200,11 @@ fn service_results_match_sequential_analyzer_runs_bitwise() {
         Measure::Unreliability(1.0),
     ];
     let scales = [1.0, 2.0];
-    let jobs: Vec<AnalysisJob> = (0..6)
-        .map(|i| {
-            AnalysisJob::new(
-                cas_scaled(scales[i % scales.len()]),
-                AnalysisOptions::default(),
-                measures.clone(),
-            )
-        })
+    let requests: Vec<AnalysisRequest> = (0..6)
+        .map(|i| request(cas_scaled(scales[i % scales.len()]), measures.clone()))
         .collect();
 
-    let sequential: Vec<Vec<MeasureResult>> = jobs
+    let sequential: Vec<Vec<MeasureResult>> = requests
         .iter()
         .map(|job| {
             Analyzer::new(&job.dft, job.options.clone())
@@ -173,8 +220,8 @@ fn service_results_match_sequential_analyzer_runs_bitwise() {
             cache_capacity: 8,
             ..ServiceOptions::default()
         });
-        let report = service.run_batch(&jobs);
-        for (job, expected) in report.jobs.iter().zip(&sequential) {
+        let reports = run_all(&service, &requests);
+        for (job, expected) in reports.iter().zip(&sequential) {
             let results = job.results.as_ref().unwrap();
             assert_eq!(results.len(), expected.len());
             for (r, e) in results.iter().zip(expected) {
@@ -245,12 +292,14 @@ fn empty_curves_are_typed_errors_everywhere() {
 
     // Through the service the error lands in the job report, not in a panic.
     let service = AnalysisService::new(ServiceOptions::default());
-    let report = service.run_batch(&[AnalysisJob::new(
-        cas(),
-        AnalysisOptions::default(),
-        vec![Measure::UnreliabilityCurve(Vec::new())],
-    )]);
-    assert!(matches!(report.jobs[0].results, Err(Error::EmptyCurve)));
+    let reports = run_all(
+        &service,
+        &[request(
+            cas(),
+            vec![Measure::UnreliabilityCurve(Vec::new())],
+        )],
+    );
+    assert!(matches!(reports[0].results, Err(Error::EmptyCurve)));
 }
 
 /// Cache-aware scheduling: jobs are grouped by fingerprint before dispatch, so
@@ -267,28 +316,26 @@ fn grouped_dispatch_eliminates_build_waits() {
     // 12 jobs over 3 distinct structures, duplicates adjacent in submission
     // order — the worst case for naive in-order dispatch, where several
     // workers would claim copies of the same tree simultaneously.
-    let jobs: Vec<AnalysisJob> = (0..12)
+    let requests: Vec<AnalysisRequest> = (0..12)
         .map(|i| {
-            AnalysisJob::new(
+            request(
                 cas_scaled(1.0 + 0.1 * (i / 4) as f64),
-                AnalysisOptions::default(),
                 vec![Measure::Unreliability(1.0)],
             )
         })
         .collect();
-    let report = service.run_batch(&jobs);
-    assert_eq!(report.stats.jobs, 12);
-    assert_eq!(report.stats.cache_misses, 3);
-    assert_eq!(report.stats.cache_hits, 9);
-    assert_eq!(report.stats.aggregation_runs, 3);
-    assert_eq!(
-        report.stats.build_waits, 0,
+    let reports = run_all(&service, &requests);
+    assert_eq!(reports.len(), 12);
+    assert_eq!(cache_misses(&reports), 3);
+    assert_eq!(reports.iter().filter(|r| r.cache_hit).count(), 9);
+    assert_eq!(aggregation_runs(&reports), 3);
+    assert!(
+        reports.iter().all(|j| !j.build_wait),
         "grouped dispatch must not leave workers blocking on concurrent builds"
     );
-    assert!(report.jobs.iter().all(|j| !j.build_wait));
     // Reports stay in submission order: the i-th report carries the i-th
-    // job's fingerprint.
-    for (job, report) in jobs.iter().zip(&report.jobs) {
+    // request's fingerprint.
+    for (job, report) in requests.iter().zip(&reports) {
         assert_eq!(job.dft.fingerprint(), report.fingerprint);
     }
 }
@@ -327,19 +374,15 @@ fn concurrent_submitters_share_cached_models() {
                 scope.spawn(move || {
                     // Submit the whole personal queue first (this is the
                     // "return immediately" contract), then await it.
-                    let submitted: Vec<JobHandle> = (0..jobs_each)
+                    let requests: Vec<AnalysisRequest> = (0..jobs_each)
                         .map(|j| {
-                            shared.submit(AnalysisJob::new(
+                            request(
                                 cas_scaled(scales[(s + j) % scales.len()]),
-                                AnalysisOptions::default(),
                                 vec![Measure::Unreliability(1.0)],
-                            ))
+                            )
                         })
                         .collect();
-                    submitted
-                        .into_iter()
-                        .map(JobHandle::wait)
-                        .collect::<Vec<JobReport>>()
+                    run_all(&shared, &requests)
                 })
             })
             .collect();
@@ -389,34 +432,26 @@ fn slow_leader_batch_completes_without_timed_out_waits() {
     // duplicated many times, plus cheap distinct trees to keep the other
     // workers busy while the leader builds.
     let copies = 8;
-    let mut jobs: Vec<AnalysisJob> = (0..copies)
-        .map(|_| {
-            AnalysisJob::new(
-                cas(),
-                AnalysisOptions::default(),
-                vec![Measure::Unreliability(1.0)],
-            )
-        })
+    let mut requests: Vec<AnalysisRequest> = (0..copies)
+        .map(|_| request(cas(), vec![Measure::Unreliability(1.0)]))
         .collect();
     for i in 0..4 {
-        jobs.push(AnalysisJob::new(
+        requests.push(request(
             variant(&format!("cheap{i}"), 1.0 + i as f64),
-            AnalysisOptions::default(),
             vec![Measure::Unreliability(1.0)],
         ));
     }
 
-    let report = service.run_batch(&jobs);
-    assert_eq!(report.stats.jobs, copies + 4);
-    assert_eq!(report.stats.aggregation_runs, 5, "CAS once, 4 cheap trees");
-    assert_eq!(report.stats.cache_misses, 5);
-    assert_eq!(report.stats.cache_hits, copies - 1);
-    assert_eq!(
-        report.stats.build_waits, 0,
+    let reports = run_all(&service, &requests);
+    assert_eq!(reports.len(), copies + 4);
+    assert_eq!(aggregation_runs(&reports), 5, "CAS once, 4 cheap trees");
+    assert_eq!(cache_misses(&reports), 5);
+    assert_eq!(reports.iter().filter(|r| r.cache_hit).count(), copies - 1);
+    assert!(
+        reports.iter().all(|j| !j.build_wait),
         "followers of the slow leader must park, never block on its build"
     );
-    assert!(report.jobs.iter().all(|j| !j.build_wait));
-    for job in &report.jobs {
+    for job in &reports {
         assert!(job.results.is_ok());
     }
     let queue = service.queue_stats();
@@ -432,9 +467,6 @@ fn slow_leader_batch_completes_without_timed_out_waits() {
 /// point matches a direct per-variant [`Analyzer`] build.
 #[test]
 fn service_sweeps_share_one_parametric_model() {
-    use dftmc::dft_core::engine::ParametricAnalyzer;
-    use dftmc::dft_core::service::SweepJob;
-
     let options = AnalysisOptions {
         epsilon: 1e-13,
         ..AnalysisOptions::default()
@@ -452,9 +484,15 @@ fn service_sweeps_share_one_parametric_model() {
         .map(|&s| parametric.params().scaled_valuation(s))
         .collect();
     let measures = vec![Measure::Unreliability(1.0), Measure::curve([0.5, 1.5])];
-    let job = SweepJob::new(cas(), options.clone(), measures.clone(), valuations);
-
-    let report = service.run_sweep(&job);
+    let report = run_sweep_request(
+        &service,
+        sweep(
+            cas(),
+            options.clone(),
+            measures.clone(),
+            SweepSpec::Valuations(valuations),
+        ),
+    );
     assert_eq!(report.stats.valuations, 4);
     assert_eq!(
         report.stats.aggregation_runs, 1,
@@ -487,12 +525,15 @@ fn service_sweeps_share_one_parametric_model() {
 
     // A second sweep over the same structure — even with *different* rates in
     // the submitted tree — reuses the cached parametric model outright.
-    let report2 = service.run_sweep(&SweepJob::new(
-        cas_scaled(3.0),
-        options,
-        vec![Measure::Unreliability(1.0)],
-        vec![parametric.params().scaled_valuation(1.4)],
-    ));
+    let report2 = run_sweep_request(
+        &service,
+        sweep(
+            cas_scaled(3.0),
+            options,
+            vec![Measure::Unreliability(1.0)],
+            SweepSpec::Valuations(vec![parametric.params().scaled_valuation(1.4)]),
+        ),
+    );
     assert!(report2.stats.parametric_cache_hit);
     assert_eq!(report2.stats.aggregation_runs, 0);
     assert_eq!(report2.stats.cache_hits, 1, "valuation session reused too");
@@ -507,7 +548,6 @@ fn service_sweeps_share_one_parametric_model() {
 /// compositional sweep of the same structure and epsilon still succeeds.
 #[test]
 fn monolithic_sweeps_do_not_poison_the_parametric_cache() {
-    use dftmc::dft_core::service::SweepJob;
     use dftmc::dft_core::{Method, Valuation};
 
     let service = AnalysisService::new(ServiceOptions {
@@ -521,15 +561,18 @@ fn monolithic_sweeps_do_not_poison_the_parametric_cache() {
     let dft = b.build(top).unwrap();
     let valuation = Valuation::new(vec![2.0]);
 
-    let monolithic = service.run_sweep(&SweepJob::new(
-        dft.clone(),
-        AnalysisOptions {
-            method: Method::Monolithic,
-            ..AnalysisOptions::default()
-        },
-        vec![Measure::Unreliability(1.0)],
-        vec![valuation.clone()],
-    ));
+    let monolithic = run_sweep_request(
+        &service,
+        sweep(
+            dft.clone(),
+            AnalysisOptions {
+                method: Method::Monolithic,
+                ..AnalysisOptions::default()
+            },
+            vec![Measure::Unreliability(1.0)],
+            SweepSpec::Valuations(vec![valuation.clone()]),
+        ),
+    );
     assert!(matches!(
         monolithic.points[0].results,
         Err(Error::Unsupported { .. })
@@ -537,15 +580,82 @@ fn monolithic_sweeps_do_not_poison_the_parametric_cache() {
     assert_eq!(monolithic.stats.aggregation_runs, 0);
 
     // Same structure, same epsilon, compositional method: must build fine.
-    let compositional = service.run_sweep(&SweepJob::new(
-        dft,
-        AnalysisOptions::default(),
-        vec![Measure::Unreliability(1.0)],
-        vec![valuation],
-    ));
+    let compositional = run_sweep_request(
+        &service,
+        sweep(
+            dft,
+            AnalysisOptions::default(),
+            vec![Measure::Unreliability(1.0)],
+            SweepSpec::Valuations(vec![valuation]),
+        ),
+    );
     let results = compositional.points[0].results.as_ref().unwrap();
     let exact = 1.0 - (-2.0f64).exp();
     assert!((results[0].value() - exact).abs() < 1e-6);
     assert!(!compositional.stats.parametric_cache_hit);
     assert_eq!(compositional.stats.aggregation_runs, 1);
+}
+
+/// Symbolic sweeps resolve against the *request's own* rates, not against the
+/// table of the cached parametric model they share with every rate variant of
+/// the same structure.  CAS and CAS with every failure rate doubled share one
+/// parametric model; `sweep scale in 1..1` on the doubled tree must answer
+/// for the doubled rates.
+#[test]
+fn sweeps_of_rate_variants_resolve_against_their_own_rates() {
+    let service = AnalysisService::new(ServiceOptions {
+        workers: 1,
+        cache_capacity: 8,
+        ..ServiceOptions::default()
+    });
+    let measures = vec![Measure::Unreliability(1.0)];
+    let scale_one = || SweepSpec::FailureScales(vec![1.0]);
+    let doubled = cas_scaled(2.0);
+
+    let base = run_sweep_request(
+        &service,
+        sweep(
+            cas(),
+            AnalysisOptions::default(),
+            measures.clone(),
+            scale_one(),
+        ),
+    );
+    let variant = run_sweep_request(
+        &service,
+        sweep(
+            doubled.clone(),
+            AnalysisOptions::default(),
+            measures.clone(),
+            scale_one(),
+        ),
+    );
+    assert!(
+        variant.stats.parametric_cache_hit,
+        "the variant shares the model"
+    );
+    let value = |report: &SweepReport| report.points[0].results.as_ref().unwrap()[0].value();
+    assert!((value(&base) - 0.6579).abs() < 1e-4, "{}", value(&base));
+
+    let parametric = ParametricAnalyzer::new(&doubled, AnalysisOptions::default()).unwrap();
+    let expected = parametric
+        .instantiate(&parametric.base_valuation())
+        .unwrap()
+        .query(&measures[0])
+        .unwrap();
+    assert_eq!(
+        value(&variant).to_bits(),
+        expected.value().to_bits(),
+        "bit-identical to instantiating the variant's own base valuation"
+    );
+    let direct = Analyzer::new(&doubled, AnalysisOptions::default())
+        .unwrap()
+        .query(&measures[0])
+        .unwrap()
+        .value();
+    assert!(
+        (value(&variant) - direct).abs() < 1e-9,
+        "{} vs {direct}",
+        value(&variant)
+    );
 }
