@@ -18,7 +18,7 @@
 //! ```
 
 use dft_core::rng::SplitMix64;
-use dft_core::{AnalysisOptions, Analyzer, ParametricAnalyzer};
+use dft_core::{AnalysisOptions, Analyzer, Method, ParametricAnalyzer};
 use ioimc::action::Action;
 use ioimc::builder::IoImcBuilderOf;
 use ioimc::codec::{decode_model, encode_model, Reader, Writer};
@@ -121,14 +121,34 @@ toplevel "Top";
 "V3" lambda=1.0;
 "#;
 
-/// Sealed session frames, as the persistent store loads them from disk.
+/// Sealed session frames, as the persistent store loads them from disk: the
+/// compositional, monolithic and hybrid numeric bodies and the compositional
+/// and hybrid parametric ones, so every backend branch of both session
+/// decoders — the crown, leaf and core branches included — has a seed.
 fn session_corpus() -> Vec<Vec<u8>> {
     let dft = dft::galileo::parse(SESSION_SEED_TEXT).expect("the fuzz session corpus parses");
-    let analyzer =
-        Analyzer::new(&dft, AnalysisOptions::default()).expect("the fuzz sample DFT analyzes");
-    let parametric = ParametricAnalyzer::new(&dft, AnalysisOptions::default())
-        .expect("the fuzz sample DFT analyzes parametrically");
-    vec![analyzer.to_bytes(), parametric.to_bytes()]
+    let with = |method| AnalysisOptions {
+        method,
+        ..AnalysisOptions::default()
+    };
+    let analyzer = |method| Analyzer::new(&dft, with(method)).expect("the fuzz sample analyzes");
+    let parametric = |method| {
+        ParametricAnalyzer::new(&dft, with(method))
+            .expect("the fuzz sample analyzes parametrically")
+    };
+    let hybrid = analyzer(Method::Hybrid);
+    let parametric_hybrid = parametric(Method::Hybrid);
+    assert!(
+        hybrid.module_stats().is_some() && parametric_hybrid.module_stats().is_some(),
+        "the fuzz sample must decompose, or the hybrid decode branches go unseeded"
+    );
+    vec![
+        analyzer(Method::Compositional).to_bytes(),
+        parametric(Method::Compositional).to_bytes(),
+        analyzer(Method::Monolithic).to_bytes(),
+        hybrid.to_bytes(),
+        parametric_hybrid.to_bytes(),
+    ]
 }
 
 /// Serialized HTTP/1.1 requests as `dftmc-serve` reads them off a socket:
@@ -419,6 +439,7 @@ mod tests {
         match target {
             "galileo::parse" | "json::parse" | "json_format::parse" => 1,
             "http::parse_request" => 3,
+            "Analyzer::from_bytes" | "ParametricAnalyzer::from_bytes" => 5,
             _ => 2,
         }
     }

@@ -18,8 +18,8 @@
 //!
 //! A mission-time sweep through [`Measure::UnreliabilityCurve`] additionally
 //! shares the uniformisation pass between all time points, so a 100-point curve
-//! costs one aggregation and roughly one analysis, where the legacy one-shot
-//! entry points (see [`crate::analysis`]) would have paid for 100 of each.
+//! costs one aggregation and roughly one analysis, where 100 single-point
+//! sessions would have paid for 100 of each.
 //!
 //! # Example
 //!
@@ -56,14 +56,13 @@ use crate::query::{Measure, MeasurePoint, MeasureResult};
 use crate::semantics::monitor;
 use crate::store;
 use crate::{Error, Result};
-use dft::bdd::{Bdd, BddNode};
+use dft::bdd::Bdd;
 use dft::modules::{hybrid_plan, ModuleStats};
-use dft::{Dft, Element};
+use dft::{BasicEvent, Dft, Element, ElementId};
 use ioimc::bisim::minimize;
 use ioimc::closed::{
     can_fire_immediately, check_deterministic, drop_input_transitions, must_fire_immediately,
 };
-use ioimc::codec::{self, DecodeError, DecodeResult, Reader, Writer};
 use ioimc::stats::ModelStats;
 use ioimc::{Action, IoImc, IoImcOf, ParametricIoImc, Rate};
 use markov::ctmdp::{Ctmdp, CtmdpState};
@@ -81,17 +80,22 @@ const MONITOR_NAME: &str = "system monitor";
 const DOWN_PROP: &str = "down";
 
 /// The closed, minimised model a compositional session is served from, with
-/// its aggregation statistics and scheduler goal sets.
-struct ClosedModel<R> {
-    closed: IoImcOf<R>,
-    stats: AggregationStats,
-    top_failure: Action,
-    has_repair: bool,
-    /// Optimistic goal set: "can fire the top failure immediately".
-    can: Vec<bool>,
+/// its scheduler goal sets.
+#[derive(Debug)]
+pub(crate) struct ClosedModel<R> {
+    pub(crate) closed: IoImcOf<R>,
+    pub(crate) top_failure: Action,
+    pub(crate) has_repair: bool,
+    /// Optimistic goal set: "can fire the top failure immediately" —
+    /// depends only on the interactive structure, so a parametric model
+    /// shares it with every valuation.
+    pub(crate) can: Vec<bool>,
     /// Pessimistic goal set: "must fire the top failure immediately".
-    must: Vec<bool>,
-    point_valued: bool,
+    pub(crate) must: Vec<bool>,
+    /// `true` when the closed model has no immediate non-determinism *and*
+    /// the optimistic and pessimistic goal sets coincide, so unreliability is
+    /// a point value rather than an interval.
+    pub(crate) point_valued: bool,
 }
 
 /// The shared tail of both compositional constructors ([`Analyzer::new`] and
@@ -99,7 +103,11 @@ struct ClosedModel<R> {
 /// aggregate with the top failure kept observable, close and minimise the
 /// result, and compute the goal sets — identically for numeric and symbolic
 /// rates, so the two pipelines cannot drift apart.
-fn aggregate_and_close<R: Rate>(community: CommunityOf<R>) -> Result<ClosedModel<R>> {
+fn aggregate_and_close<R: Rate>(
+    dft: &Dft,
+    options: AnalysisOptions,
+    community: CommunityOf<R>,
+) -> Result<(Header, ClosedModel<R>)> {
     let top_failure = community.top_failure;
     let has_repair = community.top_repair.is_some();
 
@@ -125,15 +133,220 @@ fn aggregate_and_close<R: Rate>(community: CommunityOf<R>) -> Result<ClosedModel
     let deterministic = check_deterministic(&closed).is_ok();
     let point_valued = deterministic && can == must;
 
-    Ok(ClosedModel {
+    let header = Header {
+        options,
+        repairable: dft.is_repairable(),
+        aggregation: Some(stats),
+        model_stats: ModelStats::of(&closed),
+        aggregation_runs: 1,
+    };
+    let model = ClosedModel {
         closed,
-        stats,
         top_failure,
         has_repair,
         can,
         must,
         point_valued,
-    })
+    };
+    Ok((header, model))
+}
+
+/// The build record every session carries, whatever its rates and backend:
+/// the options it was built with, what the build ran and how large its result
+/// is.
+#[derive(Debug)]
+pub(crate) struct Header {
+    pub(crate) options: AnalysisOptions,
+    pub(crate) repairable: bool,
+    /// Statistics of the compositional aggregation, merged over the cores of
+    /// a hybrid build.  Absent for monolithic builds and parametric
+    /// instantiations; always present on parametric sessions.
+    pub(crate) aggregation: Option<AggregationStats>,
+    pub(crate) model_stats: ModelStats,
+    /// Aggregation pipelines *this* session executed: 1 for a compositional
+    /// build, one per dynamic core for a hybrid build, 0 for monolithic
+    /// builds, parametric instantiations and sessions restored from bytes
+    /// (whose `aggregation` describes the run of the original builder, not of
+    /// this process).
+    pub(crate) aggregation_runs: usize,
+}
+
+/// What the rate-generic session code — the one hybrid builder, the store
+/// codec and the service cache — needs from the two session types,
+/// [`Analyzer`] (numeric rates) and [`ParametricAnalyzer`] (rate forms).
+pub(crate) trait Session: Sized {
+    /// What a crown basic-event leaf carries: its failure rate in a numeric
+    /// session, its parameter slot in a parametric one.
+    type Basic: Copy;
+    /// One dynamic core of a hybrid decomposition.
+    type Core;
+
+    /// Runs the compositional pipeline over the whole tree.
+    fn compositional(dft: &Dft, options: AnalysisOptions) -> Result<Self>;
+    fn header(&self) -> &Header;
+    fn is_nondeterministic(&self) -> bool;
+    fn module_stats(&self) -> Option<ModuleStats>;
+}
+
+/// The hybrid static/dynamic decomposition (see [`dft::modules::hybrid_plan`])
+/// of either session type: each maximal dynamic core is a nested
+/// compositional session `C` over its sub-DFT, and the static crown above the
+/// cores is a BDD over crown basic events (carrying `B`) and core exits,
+/// evaluated combinatorially at query time.  Only built for unrepairable
+/// trees whose cores are all deterministic — the conditions under which crown
+/// composition is exact; anything else falls back to the compositional
+/// backend under the same [`Method::Hybrid`] label.
+#[derive(Debug)]
+pub(crate) struct Hybrid<B, C> {
+    /// The crown function; its variables are original [`dft::ElementId`]
+    /// indices described by `leaves`.
+    pub(crate) crown: Bdd,
+    /// One entry per element of the original tree: what the crown variable
+    /// with that index stands for.
+    pub(crate) leaves: Vec<Leaf<B>>,
+    /// The nested compositional sessions, one per dynamic core.
+    pub(crate) cores: Vec<C>,
+    /// The modularization decision record of the plan that produced this
+    /// decomposition.
+    pub(crate) modules: ModuleStats,
+}
+
+/// What one crown-BDD variable (an original element id) stands for in a
+/// hybrid session.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Leaf<B> {
+    /// Not a crown leaf: an internal crown gate, or a core member that is not
+    /// an exit.  Never referenced by the crown BDD.
+    Unused,
+    /// A crown basic event, failing exponentially with the (active) rate `B`
+    /// stands for — crown events are never spare inputs, so dormancy cannot
+    /// apply.
+    Basic(B),
+    /// The exit of the dynamic core with this index: its failure probability
+    /// at `t` is that core's unreliability at `t`.
+    Core(u32),
+}
+
+impl<B: Copy, C> Hybrid<B, C> {
+    /// The crown evaluation of both session types: one exact BDD probability
+    /// per mission time, with `rate` resolving a basic-event leaf and
+    /// `core_value(core, i)` the unreliability of that core at `times[i]`.
+    /// Exact because the cores are pairwise independent and independent of
+    /// every crown basic event, and all indicators are monotone ("failed by
+    /// t").
+    fn crown_points(
+        &self,
+        times: &[f64],
+        rate: impl Fn(B) -> f64,
+        core_value: impl Fn(usize, usize) -> f64,
+    ) -> Vec<MeasurePoint> {
+        let mut probabilities = vec![0.0f64; self.leaves.len()];
+        times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| {
+                for (p, leaf) in probabilities.iter_mut().zip(&self.leaves) {
+                    *p = match *leaf {
+                        Leaf::Unused => 0.0,
+                        Leaf::Basic(b) => -(-rate(b) * t).exp_m1(),
+                        Leaf::Core(index) => core_value(index as usize, i),
+                    };
+                }
+                MeasurePoint::exact(Some(t), self.crown.probability(&probabilities))
+            })
+            .collect()
+    }
+}
+
+fn add_model_stats(a: ModelStats, b: ModelStats) -> ModelStats {
+    ModelStats {
+        states: a.states + b.states,
+        interactive_transitions: a.interactive_transitions + b.interactive_transitions,
+        markovian_transitions: a.markovian_transitions + b.markovian_transitions,
+        inputs: a.inputs + b.inputs,
+        outputs: a.outputs + b.outputs,
+        internals: a.internals + b.internals,
+    }
+}
+
+/// The one hybrid builder behind [`Analyzer::new`] and
+/// [`ParametricAnalyzer::new`]: plans the decomposition, builds one
+/// compositional session per dynamic core (wrapped by `core_of`), gives every
+/// crown basic event its `basic` leaf and builds the crown BDD, then hands the
+/// parts to `assemble`.
+///
+/// Falls back to the full compositional pipeline (still labelled
+/// [`Method::Hybrid`]) whenever the decomposition would not be exact: the
+/// tree is repairable (crown BDDs assume monotone "failed by `t`" indicators)
+/// or some dynamic core turns out non-deterministic (per-core bounds do not
+/// compose through the crown).
+fn build_hybrid<S: Session>(
+    dft: &Dft,
+    options: AnalysisOptions,
+    core_of: impl Fn(S) -> S::Core,
+    basic: impl Fn(ElementId, &BasicEvent) -> S::Basic,
+    assemble: impl FnOnce(Header, Hybrid<S::Basic, S::Core>) -> S,
+) -> Result<S> {
+    if dft.is_repairable() {
+        return S::compositional(dft, options);
+    }
+    let plan = hybrid_plan(dft);
+    let core_options = AnalysisOptions {
+        method: Method::Compositional,
+        ..options
+    };
+    // Steps concatenate in core order (the cores run their pipelines
+    // sequentially), the peak is the componentwise maximum, and the final
+    // model is the disjoint union of the core models — the crown adds no
+    // states at all.
+    let mut aggregation = AggregationStats::default();
+    let mut model_stats = ModelStats::default();
+    let mut cores = Vec::with_capacity(plan.cores.len());
+    for core in &plan.cores {
+        let session = S::compositional(&core.dft, core_options.clone())?;
+        if session.is_nondeterministic() {
+            return S::compositional(dft, options);
+        }
+        let header = session.header();
+        if let Some(stats) = &header.aggregation {
+            aggregation.steps.extend(stats.steps.iter().cloned());
+            aggregation.peak = aggregation.peak.max(stats.peak);
+            aggregation.final_model = add_model_stats(aggregation.final_model, stats.final_model);
+        }
+        model_stats = add_model_stats(model_stats, header.model_stats);
+        cores.push(core_of(session));
+    }
+
+    let mut leaves = vec![Leaf::Unused; dft.num_elements()];
+    for &e in &plan.crown {
+        if let Element::BasicEvent(be) = dft.element(e) {
+            leaves[e.index()] = Leaf::Basic(basic(e, be));
+        }
+    }
+    for (index, core) in plan.cores.iter().enumerate() {
+        leaves[core.exit.index()] =
+            Leaf::Core(u32::try_from(index).expect("core count fits in u32"));
+    }
+    let crown = Bdd::build(dft, dft.top(), |e| {
+        !matches!(leaves[e.index()], Leaf::Unused)
+    })?;
+
+    let header = Header {
+        options,
+        repairable: false,
+        aggregation: Some(aggregation),
+        model_stats,
+        aggregation_runs: cores.len(),
+    };
+    Ok(assemble(
+        header,
+        Hybrid {
+            crown,
+            leaves,
+            cores,
+            modules: plan.stats,
+        },
+    ))
 }
 
 /// A reusable analysis session for one DFT: the aggregation pipeline runs once in
@@ -149,17 +362,8 @@ fn aggregate_and_close<R: Rate>(community: CommunityOf<R>) -> Result<ClosedModel
 /// See the [module documentation](self) for an example.
 #[derive(Debug)]
 pub struct Analyzer {
-    options: AnalysisOptions,
-    repairable: bool,
-    aggregation: Option<AggregationStats>,
-    model_stats: ModelStats,
-    backend: Backend,
-    /// `true` only when *this* session executed the compositional pipeline:
-    /// set by the compositional constructor, cleared for monolithic builds,
-    /// parametric instantiations and sessions restored via
-    /// [`from_bytes`](Self::from_bytes) (whose `aggregation` stats describe
-    /// the run of the original builder, not of this process).
-    ran_aggregation: bool,
+    pub(crate) header: Header,
+    pub(crate) backend: Backend,
 }
 
 /// The service layer shares `Arc<Analyzer>` across worker threads; losing either
@@ -171,10 +375,10 @@ const _: () = {
 
 /// The cached artifacts the queries are answered from.
 #[derive(Debug)]
-// One Backend lives per session, so the size gap between the two variants is
+// One Backend lives per session, so the size gap between the variants is
 // irrelevant — boxing the compositional payload would only add indirection.
 #[allow(clippy::large_enum_variant)]
-enum Backend {
+pub(crate) enum Backend {
     /// The paper's compositional pipeline: the closed, minimised I/O-IMC with the
     /// top failure signal kept observable and a monitor process composed in.
     Compositional {
@@ -199,83 +403,61 @@ enum Backend {
     },
     /// The DIFTree-style baseline: one CTMC over the whole tree.
     Monolithic { ctmc: Ctmc, goal: Vec<bool> },
-    /// The hybrid static/dynamic decomposition (see
-    /// [`dft::modules::hybrid_plan`]): each maximal dynamic core is a nested
-    /// compositional session over its sub-DFT, and the static crown above the
-    /// cores is a BDD over crown basic events and core exits, evaluated
-    /// combinatorially at query time.  Only built for unrepairable trees whose
-    /// cores are all deterministic — the conditions under which crown
-    /// composition is exact; anything else falls back to
-    /// [`Backend::Compositional`] under the same [`Method::Hybrid`] label.
-    Hybrid {
-        /// The crown function; its variables are original [`dft::ElementId`]
-        /// indices described by `leaves`.
-        crown: Bdd,
-        /// One entry per element of the original tree: what the crown variable
-        /// with that index stands for.
-        leaves: Vec<HybridLeaf>,
-        /// The nested compositional sessions, one per dynamic core.
-        cores: Vec<Analyzer>,
-        /// The modularization decision record of the plan that produced this
-        /// decomposition.
-        modules: ModuleStats,
-    },
+    /// The hybrid decomposition; crown basic events carry their rate.
+    Hybrid(Hybrid<f64, Analyzer>),
 }
 
-/// What one crown-BDD variable (an original element id) stands for in a hybrid
-/// session.
-#[derive(Debug, Clone, PartialEq)]
-enum HybridLeaf {
-    /// Not a crown leaf: an internal crown gate, or a core member that is not
-    /// an exit.  Never referenced by the crown BDD.
-    Unused,
-    /// A basic event of the crown; it fails exponentially with this rate.
-    Basic {
-        /// Active failure rate λ (crown events are never spare inputs, so
-        /// dormancy cannot apply).
-        rate: f64,
-    },
-    /// The exit of one dynamic core: its failure probability at `t` is that
-    /// core session's unreliability at `t`.
-    Core {
-        /// Index into [`Backend::Hybrid::cores`].
-        index: usize,
-    },
-}
+impl Session for Analyzer {
+    type Basic = f64;
+    type Core = Analyzer;
 
-fn add_model_stats(a: ModelStats, b: ModelStats) -> ModelStats {
-    ModelStats {
-        states: a.states + b.states,
-        interactive_transitions: a.interactive_transitions + b.interactive_transitions,
-        markovian_transitions: a.markovian_transitions + b.markovian_transitions,
-        inputs: a.inputs + b.inputs,
-        outputs: a.outputs + b.outputs,
-        internals: a.internals + b.internals,
+    fn compositional(dft: &Dft, options: AnalysisOptions) -> Result<Analyzer> {
+        let (header, model) = aggregate_and_close(dft, options, convert(dft)?)?;
+        Ok(Analyzer {
+            header,
+            backend: Backend::compositional(model)?,
+        })
+    }
+
+    fn header(&self) -> &Header {
+        &self.header
+    }
+
+    fn is_nondeterministic(&self) -> bool {
+        Self::is_nondeterministic(self)
+    }
+
+    fn module_stats(&self) -> Option<ModuleStats> {
+        Self::module_stats(self)
     }
 }
 
-/// Sums the per-core model sizes into the session-level [`ModelStats`]: the
-/// hybrid state space is exactly the union of the (independent) core state
-/// spaces — the crown adds no states at all.
-fn sum_model_stats<'a>(cores: impl Iterator<Item = &'a Analyzer>) -> ModelStats {
-    cores.fold(ModelStats::default(), |acc, core| {
-        add_model_stats(acc, core.model_stats())
-    })
-}
-
-/// Merges the per-core aggregation records of a hybrid session: steps are
-/// concatenated in core order (the cores run their pipelines sequentially),
-/// the peak is the componentwise maximum, and the final model is the disjoint
-/// union of the core models.
-fn merge_aggregation_stats<'a>(
-    stats: impl Iterator<Item = &'a AggregationStats>,
-) -> AggregationStats {
-    stats.fold(AggregationStats::default(), |mut acc, s| {
-        acc.steps.extend(s.steps.iter().cloned());
-        acc.peak = acc.peak.max(s.peak);
-        acc.final_model = add_model_stats(acc.final_model, s.final_model);
-        acc
-    })
+impl Backend {
+    /// The compositional backend of a closed numeric model: lowers it to the
+    /// can/must CTMDP pair its unreliability bounds are computed on.
+    fn compositional(model: ClosedModel<f64>) -> Result<Backend> {
+        let ClosedModel {
+            closed,
+            top_failure,
+            has_repair,
+            can,
+            must,
+            point_valued,
+        } = model;
+        let ctmdp_states = ctmdp_states_of(&closed, |&rate| rate);
+        let initial = closed.initial().index();
+        let upper = Ctmdp::new(ctmdp_states.clone(), initial, can)?;
+        let lower = Ctmdp::new(ctmdp_states, initial, must)?;
+        Ok(Backend::Compositional {
+            closed,
+            top_failure,
+            has_repair,
+            point_valued,
+            upper,
+            lower,
+            tangible: OnceLock::new(),
+        })
+    }
 }
 
 impl Analyzer {
@@ -291,34 +473,17 @@ impl Analyzer {
         match options.method {
             Method::Compositional => Analyzer::compositional(dft, options),
             Method::Monolithic => Analyzer::monolithic(dft, options),
-            Method::Hybrid => Analyzer::hybrid(dft, options),
+            Method::Hybrid => build_hybrid(
+                dft,
+                options,
+                |core| core,
+                |_, be| be.rate,
+                |header, hybrid| Analyzer {
+                    header,
+                    backend: Backend::Hybrid(hybrid),
+                },
+            ),
         }
-    }
-
-    fn compositional(dft: &Dft, options: AnalysisOptions) -> Result<Analyzer> {
-        let model = aggregate_and_close(convert(dft)?)?;
-
-        let ctmdp_states = ctmdp_states_of(&model.closed);
-        let initial = model.closed.initial().index();
-        let upper = Ctmdp::new(ctmdp_states.clone(), initial, model.can)?;
-        let lower = Ctmdp::new(ctmdp_states, initial, model.must)?;
-
-        Ok(Analyzer {
-            options,
-            repairable: dft.is_repairable(),
-            aggregation: Some(model.stats),
-            model_stats: ModelStats::of(&model.closed),
-            backend: Backend::Compositional {
-                closed: model.closed,
-                top_failure: model.top_failure,
-                has_repair: model.has_repair,
-                point_valued: model.point_valued,
-                upper,
-                lower,
-                tangible: OnceLock::new(),
-            },
-            ran_aggregation: true,
-        })
     }
 
     fn monolithic(dft: &Dft, options: AnalysisOptions) -> Result<Analyzer> {
@@ -329,69 +494,17 @@ impl Analyzer {
             ..ModelStats::default()
         };
         Ok(Analyzer {
-            options,
-            repairable: dft.is_repairable(),
-            aggregation: None,
-            model_stats,
+            header: Header {
+                options,
+                repairable: dft.is_repairable(),
+                aggregation: None,
+                model_stats,
+                aggregation_runs: 0,
+            },
             backend: Backend::Monolithic {
                 ctmc: result.ctmc,
                 goal: result.goal,
             },
-            ran_aggregation: false,
-        })
-    }
-
-    /// Builds the hybrid static/dynamic session, or falls back to the full
-    /// compositional pipeline (still labelled [`Method::Hybrid`]) whenever the
-    /// decomposition would not be exact: the tree is repairable (crown BDDs
-    /// assume monotone "failed by `t`" indicators) or some dynamic core turns
-    /// out non-deterministic (per-core bounds do not compose through the
-    /// crown).
-    fn hybrid(dft: &Dft, options: AnalysisOptions) -> Result<Analyzer> {
-        if dft.is_repairable() {
-            return Analyzer::compositional(dft, options);
-        }
-        let plan = hybrid_plan(dft);
-        let core_options = AnalysisOptions {
-            method: Method::Compositional,
-            ..options
-        };
-        let mut cores = Vec::with_capacity(plan.cores.len());
-        for core in &plan.cores {
-            let analyzer = Analyzer::compositional(&core.dft, core_options.clone())?;
-            if analyzer.is_nondeterministic() {
-                return Analyzer::compositional(dft, options);
-            }
-            cores.push(analyzer);
-        }
-
-        let mut leaves = vec![HybridLeaf::Unused; dft.num_elements()];
-        for &e in &plan.crown {
-            if let Element::BasicEvent(be) = dft.element(e) {
-                leaves[e.index()] = HybridLeaf::Basic { rate: be.rate };
-            }
-        }
-        for (index, core) in plan.cores.iter().enumerate() {
-            leaves[core.exit.index()] = HybridLeaf::Core { index };
-        }
-        let crown = Bdd::build(dft, dft.top(), |e| {
-            !matches!(leaves[e.index()], HybridLeaf::Unused)
-        })?;
-
-        Ok(Analyzer {
-            options,
-            repairable: false,
-            aggregation: Some(merge_aggregation_stats(
-                cores.iter().filter_map(Analyzer::aggregation_stats),
-            )),
-            model_stats: sum_model_stats(cores.iter()),
-            backend: Backend::Hybrid {
-                crown,
-                leaves,
-                cores,
-                modules: plan.stats,
-            },
-            ran_aggregation: true,
         })
     }
 
@@ -410,23 +523,8 @@ impl Analyzer {
     /// propagates numerical errors.  The construction work is *not* repeated on
     /// any path.
     pub fn query(&self, measure: impl Borrow<Measure>) -> Result<MeasureResult> {
-        match measure.borrow() {
-            Measure::Unreliability(t) => {
-                validate_mission_time(*t)?;
-                self.unreliability_points(&[*t])
-            }
-            Measure::UnreliabilityCurve(times) => {
-                if times.is_empty() {
-                    return Err(Error::EmptyCurve);
-                }
-                for &t in times {
-                    validate_mission_time(t)?;
-                }
-                self.unreliability_points(times)
-            }
-            Measure::Unavailability => self.unavailability_point(),
-            Measure::Mttf => self.mttf_point(),
-        }
+        let mut results = self.query_all(std::slice::from_ref(measure.borrow()))?;
+        Ok(results.pop().expect("query_all answers every measure"))
     }
 
     /// Answers a whole batch of measures against the cached model, sharing one
@@ -457,58 +555,30 @@ impl Analyzer {
     pub fn query_all(&self, measures: &[Measure]) -> Result<Vec<MeasureResult>> {
         // Merge the mission times of all time-bounded measures, remembering for
         // each measure which slots of the merged grid it reads back.
-        let mut unique_times: Vec<f64> = Vec::new();
-        let mut slot_of: HashMap<u64, usize> = HashMap::new();
-        let mut plans: Vec<Option<Vec<usize>>> = Vec::with_capacity(measures.len());
-        for measure in measures {
-            let times: &[f64] = match measure {
-                Measure::Unreliability(t) => std::slice::from_ref(t),
-                Measure::UnreliabilityCurve(times) => {
-                    if times.is_empty() {
-                        return Err(Error::EmptyCurve);
-                    }
-                    times
-                }
-                Measure::Unavailability | Measure::Mttf => {
-                    plans.push(None);
-                    continue;
-                }
-            };
-            let slots = times
-                .iter()
-                .map(|&t| {
-                    validate_mission_time(t)?;
-                    Ok(*slot_of.entry(t.to_bits()).or_insert_with(|| {
-                        unique_times.push(t);
-                        unique_times.len() - 1
-                    }))
-                })
-                .collect::<Result<Vec<usize>>>()?;
-            plans.push(Some(slots));
-        }
+        let mut grid = TimeGrid::default();
+        let plans = measures
+            .iter()
+            .map(|measure| {
+                mission_times(measure)?
+                    .map(|times| grid.slots(times))
+                    .transpose()
+            })
+            .collect::<Result<Vec<Option<Vec<usize>>>>>()?;
 
-        let merged = if unique_times.is_empty() {
+        let merged = if grid.times.is_empty() {
             None
         } else {
-            Some(self.unreliability_points(&unique_times)?)
+            Some(self.unreliability_points(&grid.times)?)
         };
 
         measures
             .iter()
             .zip(plans)
-            .map(|(measure, plan)| match (measure, plan) {
-                (Measure::Unavailability, None) => self.unavailability_point(),
-                (Measure::Mttf, None) => self.mttf_point(),
-                (_, Some(slots)) => {
-                    let points = merged
-                        .as_ref()
-                        .expect("time-bounded measures imply a merged pass")
-                        .points();
-                    Ok(MeasureResult::new(
-                        slots.iter().map(|&slot| points[slot]).collect(),
-                    ))
-                }
-                (_, None) => unreachable!("plan shape follows the measure shape"),
+            .map(|(measure, plan)| match (plan, &merged) {
+                (Some(slots), Some(merged)) => Ok(MeasureResult::new(
+                    slots.iter().map(|&slot| merged.points()[slot]).collect(),
+                )),
+                _ => self.scalar_point(measure),
             })
             .collect()
     }
@@ -550,7 +620,7 @@ impl Analyzer {
     }
 
     fn unreliability_points(&self, times: &[f64]) -> Result<MeasureResult> {
-        let epsilon = self.options.epsilon;
+        let epsilon = self.header.options.epsilon;
         match &self.backend {
             Backend::Monolithic { ctmc, goal } => {
                 let values = ctmc.reachability_multi(goal, times, epsilon)?;
@@ -587,17 +657,11 @@ impl Analyzer {
                         .collect(),
                 ))
             }
-            Backend::Hybrid {
-                crown,
-                leaves,
-                cores,
-                ..
-            } => {
-                // One multi-time pass per dynamic core, then a combinatorial
-                // crown evaluation per time point.  Exact because the cores are
-                // pairwise independent and independent of every crown basic
-                // event, and all indicators are monotone ("failed by t").
-                let core_curves = cores
+            Backend::Hybrid(hybrid) => {
+                // One multi-time pass per dynamic core, then the crown per
+                // time point.
+                let core_curves = hybrid
+                    .cores
                     .iter()
                     .map(|core| {
                         Ok(core
@@ -608,71 +672,58 @@ impl Analyzer {
                             .collect::<Vec<f64>>())
                     })
                     .collect::<Result<Vec<Vec<f64>>>>()?;
-                let mut probabilities = vec![0.0f64; leaves.len()];
-                Ok(MeasureResult::new(
-                    times
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &t)| {
-                            for (p, leaf) in probabilities.iter_mut().zip(leaves) {
-                                *p = match leaf {
-                                    HybridLeaf::Unused => 0.0,
-                                    HybridLeaf::Basic { rate } => -(-rate * t).exp_m1(),
-                                    HybridLeaf::Core { index } => core_curves[*index][i],
-                                };
-                            }
-                            MeasurePoint::exact(Some(t), crown.probability(&probabilities))
-                        })
-                        .collect(),
-                ))
+                Ok(MeasureResult::new(hybrid.crown_points(
+                    times,
+                    |rate| rate,
+                    |core, i| core_curves[core][i],
+                )))
             }
         }
     }
 
-    fn unavailability_point(&self) -> Result<MeasureResult> {
-        if !self.repairable {
-            return Err(Error::Unsupported {
-                message: "unavailability analysis needs at least one repairable basic event"
-                    .to_owned(),
-            });
-        }
-        match &self.backend {
-            Backend::Monolithic { .. } => Err(Error::Unsupported {
-                message: "the monolithic baseline only supports unreliability analysis".to_owned(),
-            }),
+    /// Answers [`Measure::Unavailability`] or [`Measure::Mttf`].
+    fn scalar_point(&self, measure: &Measure) -> Result<MeasureResult> {
+        let epsilon = self.header.options.epsilon;
+        let value = match (measure, &self.backend) {
+            (Measure::Unavailability, _) if !self.header.repairable => {
+                return Err(Error::Unsupported {
+                    message: "unavailability analysis needs at least one repairable basic event"
+                        .to_owned(),
+                })
+            }
+            (Measure::Unavailability, Backend::Monolithic { .. }) => {
+                return Err(Error::Unsupported {
+                    message: "the monolithic baseline only supports unreliability analysis"
+                        .to_owned(),
+                })
+            }
             // Defensive: a genuine hybrid backend implies an unrepairable tree,
             // so the check above already returned.
-            Backend::Hybrid { .. } => Err(Error::Unsupported {
-                message: "the hybrid decomposition only exists for unrepairable trees".to_owned(),
-            }),
-            Backend::Compositional { has_repair, .. } => {
+            (Measure::Unavailability, Backend::Hybrid(_)) => {
+                return Err(Error::Unsupported {
+                    message: "the hybrid decomposition only exists for unrepairable trees"
+                        .to_owned(),
+                })
+            }
+            (Measure::Unavailability, Backend::Compositional { has_repair, .. }) => {
                 if !has_repair {
                     return Err(Error::Unsupported {
                         message: "the top event never emits a repair signal".to_owned(),
                     });
                 }
                 let (ctmc, down) = self.tangible()?;
-                let unavailability = steady_state_probability(ctmc, down, self.options.epsilon)?;
-                Ok(MeasureResult::new(vec![MeasurePoint::exact(
-                    None,
-                    unavailability,
-                )]))
+                steady_state_probability(ctmc, down, epsilon)?
             }
-        }
-    }
-
-    fn mttf_point(&self) -> Result<MeasureResult> {
-        let mttf = match &self.backend {
-            Backend::Monolithic { ctmc, goal } => {
-                markov::mttf::mean_time_to_absorption(ctmc, goal, self.options.epsilon)?
+            (_, Backend::Monolithic { ctmc, goal }) => {
+                markov::mttf::mean_time_to_absorption(ctmc, goal, epsilon)?
             }
-            Backend::Compositional { .. } => {
+            (_, Backend::Compositional { .. }) => {
                 let (ctmc, down) = self.tangible()?;
-                markov::mttf::mean_time_to_absorption(ctmc, down, self.options.epsilon)?
+                markov::mttf::mean_time_to_absorption(ctmc, down, epsilon)?
             }
             // MTTF needs a single first-passage model; the hybrid crown only
             // composes time-bounded failure probabilities.
-            Backend::Hybrid { .. } => {
+            (_, Backend::Hybrid(_)) => {
                 return Err(Error::Unsupported {
                     message: "the hybrid decomposition only supports unreliability analysis; \
                               use the compositional method for MTTF"
@@ -680,7 +731,7 @@ impl Analyzer {
                 });
             }
         };
-        Ok(MeasureResult::new(vec![MeasurePoint::exact(None, mttf)]))
+        Ok(MeasureResult::new(vec![MeasurePoint::exact(None, value)]))
     }
 
     /// The embedded CTMC of the closed model with its "down" labels, extracted on
@@ -700,25 +751,25 @@ impl Analyzer {
 
     /// The options the session was built with.
     pub fn options(&self) -> &AnalysisOptions {
-        &self.options
+        &self.header.options
     }
 
     /// The analysis method backing this session.
     pub fn method(&self) -> Method {
-        self.options.method
+        self.header.options.method
     }
 
     /// Statistics of the compositional aggregation run (absent for the monolithic
     /// method).  The statistics are computed during [`Analyzer::new`] and never
     /// change afterwards, however many queries are answered.
     pub fn aggregation_stats(&self) -> Option<&AggregationStats> {
-        self.aggregation.as_ref()
+        self.header.aggregation.as_ref()
     }
 
     /// Size of the final analysed model (the closed aggregated I/O-IMC or the
     /// monolithic CTMC).
     pub fn model_stats(&self) -> ModelStats {
-        self.model_stats
+        self.header.model_stats
     }
 
     /// How many times this session has run compositional aggregation: 1 for a
@@ -731,10 +782,7 @@ impl Analyzer {
     ///
     /// [`aggregation_stats`]: Self::aggregation_stats
     pub fn aggregation_runs(&self) -> usize {
-        match &self.backend {
-            Backend::Hybrid { cores, .. } if self.ran_aggregation => cores.len(),
-            _ => usize::from(self.ran_aggregation),
-        }
+        self.header.aggregation_runs
     }
 
     /// Returns `true` if the final model contained immediate non-determinism, so
@@ -743,7 +791,7 @@ impl Analyzer {
         match &self.backend {
             Backend::Compositional { point_valued, .. } => !point_valued,
             // A hybrid backend is only ever built from deterministic cores.
-            Backend::Monolithic { .. } | Backend::Hybrid { .. } => false,
+            Backend::Monolithic { .. } | Backend::Hybrid(_) => false,
         }
     }
 
@@ -752,7 +800,7 @@ impl Analyzer {
     pub fn final_model(&self) -> Option<&IoImc> {
         match &self.backend {
             Backend::Compositional { closed, .. } => Some(closed),
-            Backend::Monolithic { .. } | Backend::Hybrid { .. } => None,
+            Backend::Monolithic { .. } | Backend::Hybrid(_) => None,
         }
     }
 
@@ -761,7 +809,7 @@ impl Analyzer {
     pub fn top_failure(&self) -> Option<Action> {
         match &self.backend {
             Backend::Compositional { top_failure, .. } => Some(*top_failure),
-            Backend::Monolithic { .. } | Backend::Hybrid { .. } => None,
+            Backend::Monolithic { .. } | Backend::Hybrid(_) => None,
         }
     }
 
@@ -773,7 +821,7 @@ impl Analyzer {
     /// decomposition actually happened.
     pub fn module_stats(&self) -> Option<ModuleStats> {
         match &self.backend {
-            Backend::Hybrid { modules, .. } => Some(*modules),
+            Backend::Hybrid(hybrid) => Some(hybrid.modules),
             Backend::Compositional { .. } | Backend::Monolithic { .. } => None,
         }
     }
@@ -787,14 +835,7 @@ impl Analyzer {
     /// answers every query bit-identically to this one and reports
     /// [`aggregation_runs`](Self::aggregation_runs)` == 0`.
     pub fn to_bytes(&self) -> Vec<u8> {
-        store::seal(
-            store::Kind::Session,
-            // A free-standing serialization is not bound to a DFT
-            // fingerprint; the store writes its own frames with the real one.
-            0,
-            self.options.epsilon.to_bits(),
-            &self.encode_payload(),
-        )
+        store::to_bytes(self)
     }
 
     /// Restores a session serialized with [`to_bytes`](Self::to_bytes).
@@ -805,258 +846,7 @@ impl Analyzer {
     /// a different format version, or decode to a model that fails
     /// validation.  Never panics on malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Analyzer> {
-        store::unseal(bytes, store::Kind::Session, None)
-            .and_then(Analyzer::decode_payload)
-            .map_err(|e| Error::Store {
-                message: e.to_string(),
-            })
-    }
-
-    /// The unframed payload body of [`to_bytes`](Self::to_bytes); the store
-    /// frames it with the entry's real fingerprint.
-    pub(crate) fn encode_payload(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_body(&mut w);
-        w.into_bytes()
-    }
-
-    /// Writes the session body onto a shared writer, without framing or
-    /// trailing checks: a hybrid payload embeds one body per core back to back
-    /// on the same writer, so bodies must compose.
-    fn encode_body(&self, w: &mut Writer) {
-        store::encode_options(&self.options, w);
-        w.bool(self.repairable);
-        match &self.aggregation {
-            None => w.bool(false),
-            Some(stats) => {
-                w.bool(true);
-                store::encode_aggregation_stats(stats, w);
-            }
-        }
-        store::encode_model_stats(self.model_stats, w);
-        match &self.backend {
-            Backend::Compositional {
-                closed,
-                top_failure,
-                has_repair,
-                point_valued,
-                upper,
-                lower,
-                tangible: _, // derived lazily and deterministically from `closed`
-            } => {
-                w.u8(0);
-                w.str(top_failure.name());
-                w.bool(*has_repair);
-                w.bool(*point_valued);
-                codec::encode_model(closed, w);
-                store::encode_ctmdp(upper, w);
-                store::encode_ctmdp(lower, w);
-            }
-            Backend::Monolithic { ctmc, goal } => {
-                w.u8(1);
-                w.len_prefix(ctmc.num_states());
-                w.len_prefix(ctmc.initial());
-                let transitions = ctmc.transitions();
-                w.len_prefix(transitions.len());
-                for (from, to, rate) in transitions {
-                    w.u32(from);
-                    w.u32(to);
-                    w.f64(rate);
-                }
-                store::encode_bools(goal, w);
-            }
-            Backend::Hybrid {
-                crown,
-                leaves,
-                cores,
-                modules,
-            } => {
-                w.u8(2);
-                store::encode_module_stats(*modules, w);
-                w.len_prefix(crown.node_count());
-                for node in crown.nodes() {
-                    w.u32(node.var);
-                    w.u32(node.lo);
-                    w.u32(node.hi);
-                }
-                w.u32(crown.root());
-                w.len_prefix(leaves.len());
-                for leaf in leaves {
-                    match leaf {
-                        HybridLeaf::Unused => w.u8(0),
-                        HybridLeaf::Basic { rate } => {
-                            w.u8(1);
-                            w.f64(*rate);
-                        }
-                        HybridLeaf::Core { index } => {
-                            w.u8(2);
-                            w.u32(u32::try_from(*index).expect("core count fits in u32"));
-                        }
-                    }
-                }
-                w.len_prefix(cores.len());
-                for core in cores {
-                    core.encode_body(w);
-                }
-            }
-        }
-    }
-
-    /// Decodes a payload produced by [`encode_payload`](Self::encode_payload),
-    /// re-validating every embedded model.
-    pub(crate) fn decode_payload(payload: &[u8]) -> DecodeResult<Analyzer> {
-        let mut r = Reader::new(payload);
-        let analyzer = Analyzer::decode_body(&mut r)?;
-        if !r.is_done() {
-            return Err(DecodeError::new("trailing bytes after the session payload"));
-        }
-        Ok(analyzer)
-    }
-
-    /// Reads one session body from a shared reader (the inverse of
-    /// [`encode_body`](Self::encode_body)); the caller checks for trailing
-    /// bytes once the outermost body is done.
-    fn decode_body(r: &mut Reader) -> DecodeResult<Analyzer> {
-        let options = store::decode_options(r)?;
-        let repairable = r.bool()?;
-        let aggregation = if r.bool()? {
-            Some(store::decode_aggregation_stats(r)?)
-        } else {
-            None
-        };
-        let model_stats = store::decode_model_stats(r)?;
-        let backend = match (r.u8()?, options.method) {
-            // Tag 0 under `Method::Hybrid` is a hybrid session that fell back
-            // to the compositional pipeline (repairable tree or
-            // non-deterministic core): same body, different label.
-            (0, Method::Compositional | Method::Hybrid) => {
-                let top_failure = Action::new(&r.str()?);
-                let has_repair = r.bool()?;
-                let point_valued = r.bool()?;
-                let closed = codec::decode_model::<f64>(r)?;
-                let upper = store::decode_ctmdp(r)?;
-                let lower = store::decode_ctmdp(r)?;
-                if upper.num_states() != closed.num_states()
-                    || lower.num_states() != closed.num_states()
-                {
-                    return Err(DecodeError::new(
-                        "CTMDP state counts disagree with the closed model",
-                    ));
-                }
-                Backend::Compositional {
-                    closed,
-                    top_failure,
-                    has_repair,
-                    point_valued,
-                    upper,
-                    lower,
-                    tangible: OnceLock::new(),
-                }
-            }
-            (1, Method::Monolithic) => {
-                let num_states = r.len_prefix(0)?;
-                let initial = r.len_prefix(0)?;
-                let n = r.len_prefix(16)?;
-                let mut transitions = Vec::with_capacity(n);
-                for _ in 0..n {
-                    transitions.push((r.u32()?, r.u32()?, r.f64()?));
-                }
-                let ctmc = Ctmc::from_transitions(num_states, initial, &transitions)
-                    .map_err(|e| DecodeError::new(format!("decoded CTMC is invalid: {e}")))?;
-                let goal = store::decode_bools(&mut *r)?;
-                if goal.len() != num_states {
-                    return Err(DecodeError::new("goal vector length mismatch"));
-                }
-                Backend::Monolithic { ctmc, goal }
-            }
-            (2, Method::Hybrid) => {
-                if repairable {
-                    return Err(DecodeError::new(
-                        "a hybrid decomposition cannot be repairable",
-                    ));
-                }
-                let modules = store::decode_module_stats(r)?;
-                let n = r.len_prefix(12)?;
-                let mut nodes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    nodes.push(BddNode {
-                        var: r.u32()?,
-                        lo: r.u32()?,
-                        hi: r.u32()?,
-                    });
-                }
-                let root = r.u32()?;
-                let crown = Bdd::from_parts(nodes, root)
-                    .map_err(|e| DecodeError::new(format!("decoded crown BDD is invalid: {e}")))?;
-                let n_leaves = r.len_prefix(1)?;
-                let mut leaves = Vec::with_capacity(n_leaves);
-                for _ in 0..n_leaves {
-                    leaves.push(match r.u8()? {
-                        0 => HybridLeaf::Unused,
-                        1 => {
-                            let rate = r.f64()?;
-                            if !rate.is_finite() || rate <= 0.0 {
-                                return Err(DecodeError::new(
-                                    "crown basic-event rate out of range",
-                                ));
-                            }
-                            HybridLeaf::Basic { rate }
-                        }
-                        2 => HybridLeaf::Core {
-                            index: r.u32()? as usize,
-                        },
-                        tag => {
-                            return Err(DecodeError::new(format!("unknown hybrid leaf tag {tag}")))
-                        }
-                    });
-                }
-                let n_cores = r.len_prefix(1)?;
-                let mut cores = Vec::with_capacity(n_cores);
-                for _ in 0..n_cores {
-                    let core = Analyzer::decode_body(r)?;
-                    if core.method() != Method::Compositional || core.is_nondeterministic() {
-                        return Err(DecodeError::new(
-                            "hybrid cores must be deterministic compositional sessions",
-                        ));
-                    }
-                    cores.push(core);
-                }
-                for leaf in &leaves {
-                    if let HybridLeaf::Core { index } = leaf {
-                        if *index >= cores.len() {
-                            return Err(DecodeError::new("hybrid leaf references a missing core"));
-                        }
-                    }
-                }
-                for var in crown.support() {
-                    if !matches!(
-                        leaves.get(var.index()),
-                        Some(HybridLeaf::Basic { .. } | HybridLeaf::Core { .. })
-                    ) {
-                        return Err(DecodeError::new("crown BDD references an unused leaf"));
-                    }
-                }
-                Backend::Hybrid {
-                    crown,
-                    leaves,
-                    cores,
-                    modules,
-                }
-            }
-            (tag, method) => {
-                return Err(DecodeError::new(format!(
-                    "backend tag {tag} disagrees with method {method:?}"
-                )))
-            }
-        };
-        Ok(Analyzer {
-            options,
-            repairable,
-            aggregation,
-            model_stats,
-            backend,
-            ran_aggregation: false,
-        })
+        store::from_bytes(bytes)
     }
 }
 
@@ -1106,84 +896,49 @@ impl Analyzer {
 /// ```
 #[derive(Debug)]
 pub struct ParametricAnalyzer {
-    options: AnalysisOptions,
-    repairable: bool,
-    aggregation: AggregationStats,
-    /// `true` when this session executed the symbolic aggregation itself;
-    /// `false` for sessions restored via [`from_bytes`](Self::from_bytes).
-    ran_aggregation: bool,
-    model_stats: ModelStats,
+    pub(crate) header: Header,
     /// What every slot of a [`Valuation`] means.  Always the table
     /// [`convert_parametric`] builds for the tree — one failure (and, where
     /// repairable, repair) slot per basic event in element order — whichever
     /// backend answers the queries.
-    params: ParamTable,
-    backend: ParametricBackend,
+    pub(crate) params: ParamTable,
+    pub(crate) backend: ParametricBackend,
 }
 
 /// The parametric counterpart of [`Backend`]: what [`ParametricAnalyzer`]
 /// caches between [`instantiate`](ParametricAnalyzer::instantiate) calls.
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)]
-enum ParametricBackend {
-    /// The symbolic closed model of the full tree.
+pub(crate) enum ParametricBackend {
+    /// The symbolic closed model of the full tree (rates are linear forms).
     Compositional {
-        /// The closed, minimised parametric model (rates are linear forms).
-        closed: ParametricIoImc,
-        top_failure: Action,
-        has_repair: bool,
-        /// Optimistic goal set ("can fire the top failure immediately") —
-        /// depends only on the interactive structure, so it is shared by every
-        /// valuation.
-        can: Vec<bool>,
-        /// Pessimistic goal set ("must fire the top failure immediately").
-        must: Vec<bool>,
-        point_valued: bool,
+        model: ClosedModel<ioimc::RateForm>,
         /// The shared CTMDP structure of the closed model, lowered once on
         /// first sweep: batched sweeps evaluate rate forms straight into
         /// kernel lanes instead of instantiating one `Ctmdp` pair per
         /// valuation.
         sweep_template: OnceLock<SweepTemplate>,
     },
-    /// The parametric hybrid decomposition: one nested parametric session per
-    /// dynamic core, a shared crown BDD, and leaves that read failure rates
-    /// straight out of the session's global [`ParamTable`].
-    Hybrid {
-        crown: Bdd,
-        /// One entry per element of the original tree (same indexing as
-        /// [`Backend::Hybrid`]).
-        leaves: Vec<ParametricLeaf>,
-        cores: Vec<ParametricCore>,
-        modules: ModuleStats,
-    },
-}
-
-/// What one crown-BDD variable stands for in a *parametric* hybrid session.
-#[derive(Debug, Clone, PartialEq)]
-enum ParametricLeaf {
-    /// Never referenced by the crown BDD.
-    Unused,
-    /// A crown basic event; its failure rate is this slot of the session's
-    /// global [`ParamTable`].
-    Basic {
-        /// Slot index into the global table.
-        slot: u32,
-    },
-    /// The exit of one dynamic core.
-    Core {
-        /// Index into [`ParametricBackend::Hybrid::cores`].
-        index: usize,
-    },
+    /// The hybrid decomposition; crown basic events carry their failure slot
+    /// in the session's global [`ParamTable`].
+    Hybrid(Hybrid<u32, ParametricCore>),
 }
 
 /// One dynamic core of a parametric hybrid session: the nested parametric
 /// session over the core's sub-DFT plus the projection from the global
 /// parameter table onto the core's own table.
 #[derive(Debug)]
-struct ParametricCore {
-    analyzer: ParametricAnalyzer,
+pub(crate) struct ParametricCore {
+    pub(crate) analyzer: ParametricAnalyzer,
     /// `slots[i]` is the global slot feeding slot `i` of `analyzer.params()`.
-    slots: Vec<u32>,
+    pub(crate) slots: Vec<u32>,
+}
+
+impl ParametricCore {
+    /// Projects a global valuation onto the core's own parameter table.
+    fn project(&self, values: &[f64]) -> Valuation {
+        Valuation::new(self.slots.iter().map(|&s| values[s as usize]).collect())
+    }
 }
 
 /// The lowering [`ParametricAnalyzer`] caches for batched sweeps: the CTMDP
@@ -1191,60 +946,46 @@ struct ParametricCore {
 /// every Markovian edge in kernel edge order (state order, row order within a
 /// state — exactly the walk of [`ctmdp_states_of`]), and the initial state.
 #[derive(Debug)]
-struct SweepTemplate {
+pub(crate) struct SweepTemplate {
     states: Vec<CtmdpState>,
     forms: Vec<ioimc::RateForm>,
     initial: usize,
-}
-
-/// The cached structure lowering behind
-/// [`ParametricAnalyzer::sweep_query`]: runs once per session (per
-/// compositional backend) and is shared by every subsequent batched sweep.
-fn lower_sweep_template<'a>(
-    closed: &ParametricIoImc,
-    lock: &'a OnceLock<SweepTemplate>,
-) -> &'a SweepTemplate {
-    lock.get_or_init(|| {
-        let mut forms = Vec::new();
-        let states = closed
-            .states()
-            .map(|s| {
-                let immediate: Vec<u32> = closed
-                    .interactive_from(s)
-                    .iter()
-                    .filter(|t| t.label.is_immediate())
-                    .map(|t| t.to.index() as u32)
-                    .collect();
-                if !immediate.is_empty() {
-                    CtmdpState::Immediate(immediate)
-                } else {
-                    CtmdpState::Markovian(
-                        closed
-                            .markovian_from(s)
-                            .iter()
-                            .map(|t| {
-                                forms.push(t.rate.clone());
-                                // The rate is a template placeholder; the
-                                // kernel takes real rates per lane.
-                                (t.to.index() as u32, 1.0)
-                            })
-                            .collect(),
-                    )
-                }
-            })
-            .collect();
-        SweepTemplate {
-            states,
-            forms,
-            initial: closed.initial().index(),
-        }
-    })
 }
 
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ParametricAnalyzer>()
 };
+
+impl Session for ParametricAnalyzer {
+    type Basic = u32;
+    type Core = ParametricCore;
+
+    fn compositional(dft: &Dft, options: AnalysisOptions) -> Result<ParametricAnalyzer> {
+        let (community, params) = convert_parametric(dft)?;
+        let (header, model) = aggregate_and_close(dft, options, community)?;
+        Ok(ParametricAnalyzer {
+            header,
+            params,
+            backend: ParametricBackend::Compositional {
+                model,
+                sweep_template: OnceLock::new(),
+            },
+        })
+    }
+
+    fn header(&self) -> &Header {
+        &self.header
+    }
+
+    fn is_nondeterministic(&self) -> bool {
+        Self::is_nondeterministic(self)
+    }
+
+    fn module_stats(&self) -> Option<ModuleStats> {
+        Self::module_stats(self)
+    }
+}
 
 impl ParametricAnalyzer {
     /// Builds the parametric session: validates and converts the DFT with
@@ -1262,105 +1003,40 @@ impl ParametricAnalyzer {
             Method::Monolithic => Err(Error::Unsupported {
                 message: "the monolithic baseline has no parametric form".to_owned(),
             }),
-            Method::Hybrid => ParametricAnalyzer::hybrid(dft, options),
-        }
-    }
-
-    fn compositional(dft: &Dft, options: AnalysisOptions) -> Result<ParametricAnalyzer> {
-        let (community, params) = convert_parametric(dft)?;
-        let model = aggregate_and_close(community)?;
-
-        Ok(ParametricAnalyzer {
-            options,
-            repairable: dft.is_repairable(),
-            aggregation: model.stats,
-            ran_aggregation: true,
-            model_stats: ModelStats::of(&model.closed),
-            params,
-            backend: ParametricBackend::Compositional {
-                closed: model.closed,
-                top_failure: model.top_failure,
-                has_repair: model.has_repair,
-                can: model.can,
-                must: model.must,
-                point_valued: model.point_valued,
-                sweep_template: OnceLock::new(),
-            },
-        })
-    }
-
-    /// The parametric hybrid build: one nested parametric session per dynamic
-    /// core, the crown on a BDD, with the same fallback rule as
-    /// [`Analyzer::hybrid`] (repairable tree or non-deterministic core ⇒ full
-    /// compositional pipeline under the [`Method::Hybrid`] label).
-    fn hybrid(dft: &Dft, options: AnalysisOptions) -> Result<ParametricAnalyzer> {
-        if dft.is_repairable() {
-            return ParametricAnalyzer::compositional(dft, options);
-        }
-        // The session-global parameter table: exactly what
-        // `convert_parametric` builds, so valuations, base valuations and
-        // slot lookups are identical across backends.
-        let params = ParamTable::from_dft(dft);
-
-        let plan = hybrid_plan(dft);
-        let core_options = AnalysisOptions {
-            method: Method::Compositional,
-            ..options
-        };
-        let mut cores = Vec::with_capacity(plan.cores.len());
-        for core in &plan.cores {
-            let analyzer = ParametricAnalyzer::compositional(&core.dft, core_options.clone())?;
-            if analyzer.is_nondeterministic() {
-                return ParametricAnalyzer::compositional(dft, options);
-            }
-            // Extraction preserves element names, so every core parameter maps
-            // onto a global slot.
-            let slots = analyzer
-                .params
-                .slots()
-                .iter()
-                .map(|slot| {
+            Method::Hybrid => {
+                // The session-global parameter table: exactly what
+                // `convert_parametric` builds, so valuations, base valuations
+                // and slot lookups are identical across backends.  Extraction
+                // preserves element names, so every core and crown parameter
+                // maps onto a global slot.
+                let params = ParamTable::from_dft(dft);
+                let slot = |element: &str, kind: ParamKind| {
                     params
-                        .slot_of(&slot.element, slot.kind)
-                        .expect("core basic events are basic events of the tree")
+                        .slot_of(element, kind)
+                        .expect("core and crown basic events are basic events of the tree")
                         as u32
-                })
-                .collect();
-            cores.push(ParametricCore { analyzer, slots });
-        }
-
-        let mut leaves = vec![ParametricLeaf::Unused; dft.num_elements()];
-        for &e in &plan.crown {
-            if dft.element(e).as_basic_event().is_some() {
-                let slot = params
-                    .slot_of(dft.name(e), ParamKind::Failure)
-                    .expect("every basic event has a failure slot");
-                leaves[e.index()] = ParametricLeaf::Basic { slot: slot as u32 };
+                };
+                build_hybrid(
+                    dft,
+                    options,
+                    |analyzer: ParametricAnalyzer| ParametricCore {
+                        slots: analyzer
+                            .params
+                            .slots()
+                            .iter()
+                            .map(|s| slot(&s.element, s.kind))
+                            .collect(),
+                        analyzer,
+                    },
+                    |e, _| slot(dft.name(e), ParamKind::Failure),
+                    |header, hybrid| ParametricAnalyzer {
+                        header,
+                        params: params.clone(),
+                        backend: ParametricBackend::Hybrid(hybrid),
+                    },
+                )
             }
         }
-        for (index, core) in plan.cores.iter().enumerate() {
-            leaves[core.exit.index()] = ParametricLeaf::Core { index };
-        }
-        let crown = Bdd::build(dft, dft.top(), |e| {
-            !matches!(leaves[e.index()], ParametricLeaf::Unused)
-        })?;
-
-        Ok(ParametricAnalyzer {
-            options,
-            repairable: false,
-            aggregation: merge_aggregation_stats(cores.iter().map(|c| &c.analyzer.aggregation)),
-            ran_aggregation: true,
-            model_stats: cores.iter().fold(ModelStats::default(), |acc, c| {
-                add_model_stats(acc, c.analyzer.model_stats)
-            }),
-            params,
-            backend: ParametricBackend::Hybrid {
-                crown,
-                leaves,
-                cores,
-                modules: plan.stats,
-            },
-        })
     }
 
     /// Instantiates the cached parametric model for one rate assignment,
@@ -1377,84 +1053,51 @@ impl ParametricAnalyzer {
     pub fn instantiate(&self, valuation: &Valuation) -> Result<Analyzer> {
         valuation.check_against(&self.params)?;
         let values = valuation.values();
-        match &self.backend {
-            ParametricBackend::Compositional {
-                closed,
-                top_failure,
-                has_repair,
-                can,
-                must,
-                point_valued,
-                ..
-            } => {
-                let closed = closed.map_rates(|form| form.eval(values));
+        let backend = match &self.backend {
+            ParametricBackend::Compositional { model, .. } => {
+                let closed = model.closed.map_rates(|form| form.eval(values));
                 debug_assert!(closed.validate().is_ok());
-
-                let ctmdp_states = ctmdp_states_of(&closed);
-                let initial = closed.initial().index();
-                let upper = Ctmdp::new(ctmdp_states.clone(), initial, can.clone())?;
-                let lower = Ctmdp::new(ctmdp_states, initial, must.clone())?;
-
-                Ok(Analyzer {
-                    options: self.options.clone(),
-                    repairable: self.repairable,
-                    // Instantiation runs no aggregation; the stats live on `self`.
-                    aggregation: None,
-                    model_stats: self.model_stats,
-                    backend: Backend::Compositional {
-                        closed,
-                        top_failure: *top_failure,
-                        has_repair: *has_repair,
-                        point_valued: *point_valued,
-                        upper,
-                        lower,
-                        tangible: OnceLock::new(),
-                    },
-                    ran_aggregation: false,
-                })
+                Backend::compositional(ClosedModel {
+                    closed,
+                    top_failure: model.top_failure,
+                    has_repair: model.has_repair,
+                    can: model.can.clone(),
+                    must: model.must.clone(),
+                    point_valued: model.point_valued,
+                })?
             }
-            ParametricBackend::Hybrid {
-                crown,
-                leaves,
-                cores,
-                modules,
-            } => {
-                // Instantiate every core through its slot projection; the
-                // crown structure is shared (it does not depend on rates).
-                let numeric_cores = cores
+            // Instantiate every core through its slot projection; the crown
+            // structure is shared (it does not depend on rates).
+            ParametricBackend::Hybrid(hybrid) => Backend::Hybrid(Hybrid {
+                crown: hybrid.crown.clone(),
+                leaves: hybrid
+                    .leaves
                     .iter()
-                    .map(|core| {
-                        let projected = Valuation::new(
-                            core.slots.iter().map(|&s| values[s as usize]).collect(),
-                        );
-                        core.analyzer.instantiate(&projected)
+                    .map(|leaf| match *leaf {
+                        Leaf::Unused => Leaf::Unused,
+                        Leaf::Basic(slot) => Leaf::Basic(values[slot as usize]),
+                        Leaf::Core(index) => Leaf::Core(index),
                     })
-                    .collect::<Result<Vec<Analyzer>>>()?;
-                let numeric_leaves = leaves
+                    .collect(),
+                cores: hybrid
+                    .cores
                     .iter()
-                    .map(|leaf| match leaf {
-                        ParametricLeaf::Unused => HybridLeaf::Unused,
-                        ParametricLeaf::Basic { slot } => HybridLeaf::Basic {
-                            rate: values[*slot as usize],
-                        },
-                        ParametricLeaf::Core { index } => HybridLeaf::Core { index: *index },
-                    })
-                    .collect();
-                Ok(Analyzer {
-                    options: self.options.clone(),
-                    repairable: self.repairable,
-                    aggregation: None,
-                    model_stats: self.model_stats,
-                    backend: Backend::Hybrid {
-                        crown: crown.clone(),
-                        leaves: numeric_leaves,
-                        cores: numeric_cores,
-                        modules: *modules,
-                    },
-                    ran_aggregation: false,
-                })
-            }
-        }
+                    .map(|core| core.analyzer.instantiate(&core.project(values)))
+                    .collect::<Result<Vec<Analyzer>>>()?,
+                modules: hybrid.modules,
+            }),
+        };
+        Ok(Analyzer {
+            header: Header {
+                options: self.header.options.clone(),
+                repairable: self.header.repairable,
+                // Instantiation runs no aggregation; the stats live on `self`.
+                aggregation: None,
+                model_stats: self.header.model_stats,
+                aggregation_runs: 0,
+            },
+            backend,
+        })
     }
 
     /// Evaluates one measure across a whole sweep of valuations with zero
@@ -1485,19 +1128,10 @@ impl ParametricAnalyzer {
                 query_time: Duration::ZERO,
             });
         }
-        let times: &[f64] = match measure {
-            Measure::Unreliability(t) => std::slice::from_ref(t),
-            Measure::UnreliabilityCurve(times) => {
-                if times.is_empty() {
-                    return Err(Error::EmptyCurve);
-                }
-                times
-            }
-            Measure::Unavailability | Measure::Mttf => {
-                return self.sweep_per_point(measure, valuations)
-            }
-        };
-        self.sweep_batched(times, valuations)
+        match mission_times(measure)? {
+            Some(times) => self.sweep_batched(times, valuations),
+            None => self.sweep_per_point(measure, valuations),
+        }
     }
 
     /// The pre-kernel sweep loop: instantiate + query per valuation.  Still
@@ -1525,33 +1159,39 @@ impl ParametricAnalyzer {
     /// built from the cached [`SweepTemplate`], and one value-iteration pass
     /// per goal set answers every lane and every time bound at once.
     fn sweep_batched(&self, times: &[f64], valuations: &[Valuation]) -> Result<RateSweep> {
-        // Merge duplicate time bounds in first-occurrence order — the exact
-        // plan `Analyzer::query_all` builds — so each lane reads the same
-        // merged grid a per-point query would.
-        let mut unique_times: Vec<f64> = Vec::new();
-        let mut slot_of: HashMap<u64, usize> = HashMap::new();
-        let slots = times
-            .iter()
-            .map(|&t| {
-                validate_mission_time(t)?;
-                Ok(*slot_of.entry(t.to_bits()).or_insert_with(|| {
-                    unique_times.push(t);
-                    unique_times.len() - 1
-                }))
-            })
-            .collect::<Result<Vec<usize>>>()?;
+        // Merge duplicate time bounds exactly as `Analyzer::query_all` does,
+        // so each lane reads the same merged grid a per-point query would.
+        let mut grid = TimeGrid::default();
+        let slots = grid.slots(times)?;
+        let unique_times = &grid.times;
 
         match &self.backend {
             ParametricBackend::Compositional {
-                closed,
-                can,
-                must,
-                point_valued,
+                model,
                 sweep_template,
-                ..
             } => {
+                let ClosedModel {
+                    closed,
+                    can,
+                    must,
+                    point_valued,
+                    ..
+                } = model;
                 let started = Instant::now();
-                let template = lower_sweep_template(closed, sweep_template);
+                let template = sweep_template.get_or_init(|| {
+                    let mut forms = Vec::new();
+                    let states = ctmdp_states_of(closed, |form| {
+                        forms.push(form.clone());
+                        // The rate is a template placeholder; the kernel
+                        // takes real rates per lane.
+                        1.0
+                    });
+                    SweepTemplate {
+                        states,
+                        forms,
+                        initial: closed.initial().index(),
+                    }
+                });
                 let lanes = valuations.len();
                 let mut lane_rates = vec![0.0f64; template.forms.len() * lanes];
                 for (k, valuation) in valuations.iter().enumerate() {
@@ -1568,27 +1208,23 @@ impl ParametricAnalyzer {
                 let instantiate_time = started.elapsed();
 
                 let started = Instant::now();
-                let epsilon = self.options.epsilon;
+                let epsilon = self.header.options.epsilon;
                 let workers = kernel.auto_workers();
-                let uppers = kernel.reachability(
-                    template.initial,
-                    can,
-                    &unique_times,
-                    epsilon,
-                    true,
-                    workers,
-                )?;
+                let reach = |goal: &[bool], maximise: bool| {
+                    kernel.reachability(
+                        template.initial,
+                        goal,
+                        unique_times,
+                        epsilon,
+                        maximise,
+                        workers,
+                    )
+                };
+                let uppers = reach(can, true)?;
                 let lowers = if *point_valued {
                     uppers.clone()
                 } else {
-                    kernel.reachability(
-                        template.initial,
-                        must,
-                        &unique_times,
-                        epsilon,
-                        false,
-                        workers,
-                    )?
+                    reach(must, false)?
                 };
                 let results = (0..lanes)
                     .map(|k| {
@@ -1604,19 +1240,13 @@ impl ParametricAnalyzer {
                         MeasureResult::new(slots.iter().map(|&slot| points[slot]).collect())
                     })
                     .collect();
-                let query_time = started.elapsed();
                 Ok(RateSweep {
                     results,
                     instantiate_time,
-                    query_time,
+                    query_time: started.elapsed(),
                 })
             }
-            ParametricBackend::Hybrid {
-                crown,
-                leaves,
-                cores,
-                ..
-            } => {
+            ParametricBackend::Hybrid(hybrid) => {
                 let started = Instant::now();
                 for valuation in valuations {
                     valuation.check_against(&self.params)?;
@@ -1630,14 +1260,11 @@ impl ParametricAnalyzer {
                 // per-point hybrid path bit for bit.
                 let measure = Measure::UnreliabilityCurve(unique_times.clone());
                 // core_curves[core][lane][time slot]
-                let mut core_curves: Vec<Vec<Vec<f64>>> = Vec::with_capacity(cores.len());
-                for core in cores {
+                let mut core_curves: Vec<Vec<Vec<f64>>> = Vec::with_capacity(hybrid.cores.len());
+                for core in &hybrid.cores {
                     let projected: Vec<Valuation> = valuations
                         .iter()
-                        .map(|v| {
-                            let values = v.values();
-                            Valuation::new(core.slots.iter().map(|&s| values[s as usize]).collect())
-                        })
+                        .map(|v| core.project(v.values()))
                         .collect();
                     let sweep = core.analyzer.sweep_query(&measure, &projected)?;
                     instantiate_time += sweep.instantiate_time();
@@ -1652,30 +1279,19 @@ impl ParametricAnalyzer {
                 }
 
                 let started = Instant::now();
-                let mut probabilities = vec![0.0f64; leaves.len()];
-                let mut results = Vec::with_capacity(valuations.len());
-                for (k, valuation) in valuations.iter().enumerate() {
-                    let values = valuation.values();
-                    let mut points = Vec::with_capacity(unique_times.len());
-                    for (slot, &t) in unique_times.iter().enumerate() {
-                        for (p, leaf) in probabilities.iter_mut().zip(leaves) {
-                            *p = match leaf {
-                                ParametricLeaf::Unused => 0.0,
-                                ParametricLeaf::Basic { slot } => {
-                                    -(-values[*slot as usize] * t).exp_m1()
-                                }
-                                ParametricLeaf::Core { index } => core_curves[*index][k][slot],
-                            };
-                        }
-                        points.push(MeasurePoint::exact(
-                            Some(t),
-                            crown.probability(&probabilities),
-                        ));
-                    }
-                    results.push(MeasureResult::new(
-                        slots.iter().map(|&slot| points[slot]).collect(),
-                    ));
-                }
+                let results = valuations
+                    .iter()
+                    .enumerate()
+                    .map(|(k, valuation)| {
+                        let values = valuation.values();
+                        let points = hybrid.crown_points(
+                            unique_times,
+                            |slot| values[slot as usize],
+                            |core, i| core_curves[core][k][i],
+                        );
+                        MeasureResult::new(slots.iter().map(|&slot| points[slot]).collect())
+                    })
+                    .collect();
                 query_time += started.elapsed();
                 Ok(RateSweep {
                     results,
@@ -1710,17 +1326,20 @@ impl ParametricAnalyzer {
 
     /// The options the session was built with.
     pub fn options(&self) -> &AnalysisOptions {
-        &self.options
+        &self.header.options
     }
 
     /// Statistics of the (single) compositional aggregation run.
     pub fn aggregation_stats(&self) -> &AggregationStats {
-        &self.aggregation
+        self.header
+            .aggregation
+            .as_ref()
+            .expect("every parametric session carries its aggregation record")
     }
 
     /// Size of the closed parametric model.
     pub fn model_stats(&self) -> ModelStats {
-        self.model_stats
+        self.header.model_stats
     }
 
     /// How many times this session has run compositional aggregation: 1 for a
@@ -1729,19 +1348,16 @@ impl ParametricAnalyzer {
     /// restored via [`from_bytes`](Self::from_bytes), which reuses the
     /// original builder's aggregation instead of running its own.
     pub fn aggregation_runs(&self) -> usize {
-        match &self.backend {
-            ParametricBackend::Hybrid { cores, .. } if self.ran_aggregation => cores.len(),
-            _ => usize::from(self.ran_aggregation),
-        }
+        self.header.aggregation_runs
     }
 
     /// Returns `true` if the parametric model contains immediate
     /// non-determinism, so instantiated sessions report scheduler bounds.
     pub fn is_nondeterministic(&self) -> bool {
         match &self.backend {
-            ParametricBackend::Compositional { point_valued, .. } => !point_valued,
+            ParametricBackend::Compositional { model, .. } => !model.point_valued,
             // Hybrid sessions are only ever built from deterministic cores.
-            ParametricBackend::Hybrid { .. } => false,
+            ParametricBackend::Hybrid(_) => false,
         }
     }
 
@@ -1749,8 +1365,8 @@ impl ParametricAnalyzer {
     /// hybrid session has one parametric model per core).
     pub fn final_model(&self) -> Option<&ParametricIoImc> {
         match &self.backend {
-            ParametricBackend::Compositional { closed, .. } => Some(closed),
-            ParametricBackend::Hybrid { .. } => None,
+            ParametricBackend::Compositional { model, .. } => Some(&model.closed),
+            ParametricBackend::Hybrid(_) => None,
         }
     }
 
@@ -1758,8 +1374,8 @@ impl ParametricAnalyzer {
     /// backend only).
     pub fn top_failure(&self) -> Option<Action> {
         match &self.backend {
-            ParametricBackend::Compositional { top_failure, .. } => Some(*top_failure),
-            ParametricBackend::Hybrid { .. } => None,
+            ParametricBackend::Compositional { model, .. } => Some(model.top_failure),
+            ParametricBackend::Hybrid(_) => None,
         }
     }
 
@@ -1768,7 +1384,7 @@ impl ParametricAnalyzer {
     /// actually happened rather than falling back.
     pub fn module_stats(&self) -> Option<ModuleStats> {
         match &self.backend {
-            ParametricBackend::Hybrid { modules, .. } => Some(*modules),
+            ParametricBackend::Hybrid(hybrid) => Some(hybrid.modules),
             ParametricBackend::Compositional { .. } => None,
         }
     }
@@ -1783,12 +1399,7 @@ impl ParametricAnalyzer {
     /// instantiates every valuation bit-identically to this one and reports
     /// [`aggregation_runs`](Self::aggregation_runs)` == 0`.
     pub fn to_bytes(&self) -> Vec<u8> {
-        store::seal(
-            store::Kind::Parametric,
-            0,
-            self.options.epsilon.to_bits(),
-            &self.encode_payload(),
-        )
+        store::to_bytes(self)
     }
 
     /// Restores a session serialized with [`to_bytes`](Self::to_bytes).
@@ -1798,305 +1409,8 @@ impl ParametricAnalyzer {
     /// Returns [`Error::Store`] on truncated, corrupted or stale input; never
     /// panics on malformed bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<ParametricAnalyzer> {
-        store::unseal(bytes, store::Kind::Parametric, None)
-            .and_then(ParametricAnalyzer::decode_payload)
-            .map_err(|e| Error::Store {
-                message: e.to_string(),
-            })
+        store::from_bytes(bytes)
     }
-
-    /// The unframed payload body of [`to_bytes`](Self::to_bytes).
-    pub(crate) fn encode_payload(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_body(&mut w);
-        w.into_bytes()
-    }
-
-    /// Writes the session body onto a shared writer (hybrid payloads embed one
-    /// body per core).  Compositional-method payloads keep the exact format-1
-    /// byte layout; under [`Method::Hybrid`] a backend tag follows the model
-    /// statistics (0 = compositional fallback, 2 = genuine hybrid).
-    fn encode_body(&self, w: &mut Writer) {
-        store::encode_options(&self.options, w);
-        w.bool(self.repairable);
-        store::encode_aggregation_stats(&self.aggregation, w);
-        store::encode_model_stats(self.model_stats, w);
-        match &self.backend {
-            ParametricBackend::Compositional {
-                closed,
-                top_failure,
-                has_repair,
-                can,
-                must,
-                point_valued,
-                sweep_template: _, // derived lazily and deterministically
-            } => {
-                if self.options.method == Method::Hybrid {
-                    w.u8(0);
-                }
-                w.str(top_failure.name());
-                w.bool(*has_repair);
-                w.bool(*point_valued);
-                encode_params(&self.params, w);
-                codec::encode_model(closed, w);
-                store::encode_bools(can, w);
-                store::encode_bools(must, w);
-            }
-            ParametricBackend::Hybrid {
-                crown,
-                leaves,
-                cores,
-                modules,
-            } => {
-                w.u8(2);
-                encode_params(&self.params, w);
-                store::encode_module_stats(*modules, w);
-                w.len_prefix(crown.node_count());
-                for node in crown.nodes() {
-                    w.u32(node.var);
-                    w.u32(node.lo);
-                    w.u32(node.hi);
-                }
-                w.u32(crown.root());
-                w.len_prefix(leaves.len());
-                for leaf in leaves {
-                    match leaf {
-                        ParametricLeaf::Unused => w.u8(0),
-                        ParametricLeaf::Basic { slot } => {
-                            w.u8(1);
-                            w.u32(*slot);
-                        }
-                        ParametricLeaf::Core { index } => {
-                            w.u8(2);
-                            w.u32(u32::try_from(*index).expect("core count fits in u32"));
-                        }
-                    }
-                }
-                w.len_prefix(cores.len());
-                for core in cores {
-                    w.len_prefix(core.slots.len());
-                    for &slot in &core.slots {
-                        w.u32(slot);
-                    }
-                    core.analyzer.encode_body(w);
-                }
-            }
-        }
-    }
-
-    /// Decodes a payload produced by [`encode_payload`](Self::encode_payload).
-    pub(crate) fn decode_payload(payload: &[u8]) -> DecodeResult<ParametricAnalyzer> {
-        let mut r = Reader::new(payload);
-        let session = ParametricAnalyzer::decode_body(&mut r)?;
-        if !r.is_done() {
-            return Err(DecodeError::new(
-                "trailing bytes after the parametric payload",
-            ));
-        }
-        Ok(session)
-    }
-
-    /// Reads one parametric session body from a shared reader (the inverse of
-    /// [`encode_body`](Self::encode_body)).
-    fn decode_body(r: &mut Reader) -> DecodeResult<ParametricAnalyzer> {
-        let options = store::decode_options(r)?;
-        if options.method == Method::Monolithic {
-            return Err(DecodeError::new("parametric sessions are never monolithic"));
-        }
-        let repairable = r.bool()?;
-        let aggregation = store::decode_aggregation_stats(r)?;
-        let model_stats = store::decode_model_stats(r)?;
-        let backend_tag = if options.method == Method::Hybrid {
-            r.u8()?
-        } else {
-            0
-        };
-        let (params, backend) = match backend_tag {
-            0 => {
-                let top_failure = Action::new(&r.str()?);
-                let has_repair = r.bool()?;
-                let point_valued = r.bool()?;
-                let params = decode_params(r)?;
-                let closed = codec::decode_model::<ioimc::RateForm>(r)?;
-                // Every rate form must stay inside the decoded parameter table —
-                // `RateForm::eval` indexes the valuation unchecked at
-                // instantiation time, so an out-of-range slot in a corrupted
-                // entry must die here.
-                for t in closed.markovian() {
-                    if let Some(max_slot) = t.rate.max_slot() {
-                        if max_slot as usize >= params.len() {
-                            return Err(DecodeError::new(format!(
-                                "rate form references slot {max_slot} but the table has {} slots",
-                                params.len()
-                            )));
-                        }
-                    }
-                }
-                let can = store::decode_bools(r)?;
-                let must = store::decode_bools(r)?;
-                if can.len() != closed.num_states() || must.len() != closed.num_states() {
-                    return Err(DecodeError::new(
-                        "goal-set lengths disagree with the closed model",
-                    ));
-                }
-                (
-                    params,
-                    ParametricBackend::Compositional {
-                        closed,
-                        top_failure,
-                        has_repair,
-                        can,
-                        must,
-                        point_valued,
-                        sweep_template: OnceLock::new(),
-                    },
-                )
-            }
-            2 => {
-                if repairable {
-                    return Err(DecodeError::new(
-                        "a hybrid decomposition cannot be repairable",
-                    ));
-                }
-                let params = decode_params(r)?;
-                let modules = store::decode_module_stats(r)?;
-                let n = r.len_prefix(12)?;
-                let mut nodes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    nodes.push(BddNode {
-                        var: r.u32()?,
-                        lo: r.u32()?,
-                        hi: r.u32()?,
-                    });
-                }
-                let root = r.u32()?;
-                let crown = Bdd::from_parts(nodes, root)
-                    .map_err(|e| DecodeError::new(format!("decoded crown BDD is invalid: {e}")))?;
-                let n_leaves = r.len_prefix(1)?;
-                let mut leaves = Vec::with_capacity(n_leaves);
-                for _ in 0..n_leaves {
-                    leaves.push(match r.u8()? {
-                        0 => ParametricLeaf::Unused,
-                        1 => {
-                            let slot = r.u32()?;
-                            if slot as usize >= params.len() {
-                                return Err(DecodeError::new(
-                                    "crown leaf references a missing parameter slot",
-                                ));
-                            }
-                            ParametricLeaf::Basic { slot }
-                        }
-                        2 => ParametricLeaf::Core {
-                            index: r.u32()? as usize,
-                        },
-                        tag => {
-                            return Err(DecodeError::new(format!("unknown hybrid leaf tag {tag}")))
-                        }
-                    });
-                }
-                let n_cores = r.len_prefix(1)?;
-                let mut cores = Vec::with_capacity(n_cores);
-                for _ in 0..n_cores {
-                    let n_slots = r.len_prefix(4)?;
-                    let mut slots = Vec::with_capacity(n_slots);
-                    for _ in 0..n_slots {
-                        let slot = r.u32()?;
-                        if slot as usize >= params.len() {
-                            return Err(DecodeError::new(
-                                "core projection references a missing parameter slot",
-                            ));
-                        }
-                        slots.push(slot);
-                    }
-                    let analyzer = ParametricAnalyzer::decode_body(r)?;
-                    if analyzer.options.method != Method::Compositional
-                        || analyzer.is_nondeterministic()
-                    {
-                        return Err(DecodeError::new(
-                            "hybrid cores must be deterministic compositional sessions",
-                        ));
-                    }
-                    if slots.len() != analyzer.params.len() {
-                        return Err(DecodeError::new(
-                            "core projection length disagrees with the core's parameter table",
-                        ));
-                    }
-                    cores.push(ParametricCore { analyzer, slots });
-                }
-                for leaf in &leaves {
-                    if let ParametricLeaf::Core { index } = leaf {
-                        if *index >= cores.len() {
-                            return Err(DecodeError::new("hybrid leaf references a missing core"));
-                        }
-                    }
-                }
-                for var in crown.support() {
-                    if !matches!(
-                        leaves.get(var.index()),
-                        Some(ParametricLeaf::Basic { .. } | ParametricLeaf::Core { .. })
-                    ) {
-                        return Err(DecodeError::new("crown BDD references an unused leaf"));
-                    }
-                }
-                (
-                    params,
-                    ParametricBackend::Hybrid {
-                        crown,
-                        leaves,
-                        cores,
-                        modules,
-                    },
-                )
-            }
-            tag => {
-                return Err(DecodeError::new(format!(
-                    "unknown parametric backend tag {tag}"
-                )))
-            }
-        };
-        Ok(ParametricAnalyzer {
-            options,
-            repairable,
-            aggregation,
-            ran_aggregation: false,
-            model_stats,
-            params,
-            backend,
-        })
-    }
-}
-
-/// Shared [`ParamTable`] codec for the parametric payload layouts.
-fn encode_params(params: &ParamTable, w: &mut Writer) {
-    w.len_prefix(params.len());
-    for slot in params.slots() {
-        w.str(&slot.element);
-        w.u8(match slot.kind {
-            ParamKind::Failure => 0,
-            ParamKind::Repair => 1,
-        });
-        w.f64(slot.base);
-    }
-}
-
-fn decode_params(r: &mut Reader) -> DecodeResult<ParamTable> {
-    let num_slots = r.len_prefix(10)?;
-    let mut params = ParamTable::default();
-    for _ in 0..num_slots {
-        let element = r.str()?;
-        let kind = match r.u8()? {
-            0 => ParamKind::Failure,
-            1 => ParamKind::Repair,
-            other => {
-                return Err(DecodeError::new(format!(
-                    "invalid parameter kind tag {other}"
-                )))
-            }
-        };
-        let base = r.f64()?;
-        params.push(&element, kind, base);
-    }
-    Ok(params)
 }
 
 /// The result of a rate sweep: one [`MeasureResult`] per valuation, in request
@@ -2154,10 +1468,51 @@ fn validate_mission_time(t: f64) -> Result<()> {
     }
 }
 
+/// The mission times of a time-bounded measure, `None` for the scalar
+/// measures; an empty curve is a typed [`Error::EmptyCurve`].
+fn mission_times(measure: &Measure) -> Result<Option<&[f64]>> {
+    match measure {
+        Measure::Unreliability(t) => Ok(Some(std::slice::from_ref(t))),
+        Measure::UnreliabilityCurve(times) if times.is_empty() => Err(Error::EmptyCurve),
+        Measure::UnreliabilityCurve(times) => Ok(Some(times)),
+        Measure::Unavailability | Measure::Mttf => Ok(None),
+    }
+}
+
+/// The merged mission-time grid of a batch: every distinct time (compared
+/// bit-exactly) once, in first-occurrence order, so one multi-time pass
+/// answers every time-bounded measure of a query batch or sweep.
+#[derive(Default)]
+struct TimeGrid {
+    times: Vec<f64>,
+    slot_of: HashMap<u64, usize>,
+}
+
+impl TimeGrid {
+    /// Validates `times`, adds the new ones to the grid and returns the grid
+    /// slot each of them reads back.
+    fn slots(&mut self, times: &[f64]) -> Result<Vec<usize>> {
+        times
+            .iter()
+            .map(|&t| {
+                validate_mission_time(t)?;
+                Ok(*self.slot_of.entry(t.to_bits()).or_insert_with(|| {
+                    self.times.push(t);
+                    self.times.len() - 1
+                }))
+            })
+            .collect()
+    }
+}
+
 /// Converts a closed I/O-IMC into the CTMDP state vector used by the `markov`
 /// crate: urgent states offer their immediate successors as a non-deterministic
-/// choice, all other states race their Markovian transitions.
-fn ctmdp_states_of(closed: &IoImc) -> Vec<CtmdpState> {
+/// choice, all other states race their Markovian transitions, each at the rate
+/// `rate_of` gives it (called in state order, row order within a state).
+fn ctmdp_states_of<R: Rate>(
+    closed: &IoImcOf<R>,
+    mut rate_of: impl FnMut(&R) -> f64,
+) -> Vec<CtmdpState> {
     closed
         .states()
         .map(|s| {
@@ -2174,7 +1529,7 @@ fn ctmdp_states_of(closed: &IoImc) -> Vec<CtmdpState> {
                     closed
                         .markovian_from(s)
                         .iter()
-                        .map(|t| (t.to.index() as u32, t.rate))
+                        .map(|t| (t.to.index() as u32, rate_of(&t.rate)))
                         .collect(),
                 )
             }
@@ -2252,7 +1607,7 @@ fn extract_ctmc_with_label(closed: &IoImc, prop: &str) -> Result<(Ctmc, Vec<bool
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dft::{DftBuilder, Dormancy};
 
@@ -2368,104 +1723,6 @@ mod tests {
     }
 
     #[test]
-    fn sessions_round_trip_bit_identically_through_bytes() {
-        let mut b = DftBuilder::new();
-        let p = b.basic_event("en6_P", 1.0, Dormancy::Hot).unwrap();
-        let s = b.basic_event("en6_S", 1.0, Dormancy::Cold).unwrap();
-        let top = b.spare_gate("en6_Top", &[p, s]).unwrap();
-        let dft = b.build(top).unwrap();
-        let built = Analyzer::new(&dft, AnalysisOptions::default()).unwrap();
-        let restored = Analyzer::from_bytes(&built.to_bytes()).unwrap();
-
-        assert_eq!(restored.aggregation_runs(), 0, "no pipeline ran on restore");
-        assert_eq!(built.aggregation_runs(), 1);
-        let built_stats = built.aggregation_stats().unwrap();
-        let restored_stats = restored.aggregation_stats().unwrap();
-        assert_eq!(restored_stats.peak, built_stats.peak);
-        assert_eq!(restored_stats.steps.len(), built_stats.steps.len());
-        assert_eq!(restored.model_stats(), built.model_stats());
-
-        let measures = [
-            Measure::Unreliability(1.0),
-            Measure::curve([0.25, 0.5, 1.0, 2.0]),
-            Measure::Mttf,
-        ];
-        for measure in &measures {
-            let a = built.query(measure).unwrap();
-            let b = restored.query(measure).unwrap();
-            assert_eq!(bits_of(&a), bits_of(&b), "{measure:?} must round-trip");
-        }
-    }
-
-    #[test]
-    fn monolithic_sessions_round_trip_too() {
-        let mut b = DftBuilder::new();
-        let x = b.basic_event("en7_X", 0.7, Dormancy::Hot).unwrap();
-        let y = b.basic_event("en7_Y", 1.3, Dormancy::Hot).unwrap();
-        let top = b.and_gate("en7_Top", &[x, y]).unwrap();
-        let dft = b.build(top).unwrap();
-        let built = Analyzer::new(
-            &dft,
-            AnalysisOptions {
-                method: Method::Monolithic,
-                ..AnalysisOptions::default()
-            },
-        )
-        .unwrap();
-        let restored = Analyzer::from_bytes(&built.to_bytes()).unwrap();
-        assert_eq!(restored.method(), Method::Monolithic);
-        let a = built.query(Measure::curve([0.5, 1.0])).unwrap();
-        let b = restored.query(Measure::curve([0.5, 1.0])).unwrap();
-        assert_eq!(bits_of(&a), bits_of(&b));
-        let a = built.mttf().unwrap();
-        let b = restored.mttf().unwrap();
-        assert_eq!(a.value().to_bits(), b.value().to_bits());
-    }
-
-    #[test]
-    fn repairable_sessions_round_trip_with_unavailability() {
-        let mut b = DftBuilder::new();
-        let x = b
-            .repairable_basic_event("en8_X", 1.0, Dormancy::Hot, 9.0)
-            .unwrap();
-        let top = b.or_gate("en8_Top", &[x]).unwrap();
-        let dft = b.build(top).unwrap();
-        let built = Analyzer::new(&dft, AnalysisOptions::default()).unwrap();
-        let restored = Analyzer::from_bytes(&built.to_bytes()).unwrap();
-        // Unavailability exercises the lazily extracted tangible CTMC, which
-        // the restored session re-derives from the decoded closed model.
-        let a = built.unavailability().unwrap();
-        let b = restored.unavailability().unwrap();
-        assert_eq!(a.value().to_bits(), b.value().to_bits());
-    }
-
-    #[test]
-    fn parametric_sessions_round_trip_bit_identically_through_bytes() {
-        let mut b = DftBuilder::new();
-        let p = b.basic_event("en9_P", 0.8, Dormancy::Hot).unwrap();
-        let s = b.basic_event("en9_S", 1.2, Dormancy::Cold).unwrap();
-        let top = b.spare_gate("en9_Top", &[p, s]).unwrap();
-        let dft = b.build(top).unwrap();
-        let built = ParametricAnalyzer::new(&dft, AnalysisOptions::default()).unwrap();
-        let restored = ParametricAnalyzer::from_bytes(&built.to_bytes()).unwrap();
-
-        assert_eq!(restored.aggregation_runs(), 0);
-        assert_eq!(built.aggregation_runs(), 1);
-        assert_eq!(restored.params(), built.params());
-        assert_eq!(restored.model_stats(), built.model_stats());
-
-        for scale in [0.5, 1.0, 2.5] {
-            let valuation = built.params().scaled_valuation(scale);
-            let a = built.instantiate(&valuation).unwrap();
-            let b = restored.instantiate(&valuation).unwrap();
-            assert_eq!(b.aggregation_runs(), 0);
-            let qa = a.query(Measure::curve([0.5, 1.0])).unwrap();
-            let qb = b.query(Measure::curve([0.5, 1.0])).unwrap();
-            assert_eq!(bits_of(&qa), bits_of(&qb));
-        }
-    }
-
-    #[test]
     fn batched_sweeps_match_per_point_queries_bit_for_bit() {
         // A nondeterministic model (FDEP trigger under a PAND) exercises both
         // the optimistic and pessimistic kernel passes of the batched sweep.
@@ -2541,33 +1798,6 @@ mod tests {
     }
 
     #[test]
-    fn from_bytes_rejects_garbage_without_panicking() {
-        assert!(Analyzer::from_bytes(&[]).is_err());
-        assert!(Analyzer::from_bytes(b"not a store entry at all").is_err());
-        assert!(ParametricAnalyzer::from_bytes(&[0xff; 64]).is_err());
-
-        let mut bt = DftBuilder::new();
-        let x = bt.basic_event("en10_X", 1.0, Dormancy::Hot).unwrap();
-        let top = bt.or_gate("en10_Top", &[x]).unwrap();
-        let dft = bt.build(top).unwrap();
-        let bytes = Analyzer::new(&dft, AnalysisOptions::default())
-            .unwrap()
-            .to_bytes();
-        // Session bytes are not parametric bytes (the kind tag differs) …
-        assert!(ParametricAnalyzer::from_bytes(&bytes).is_err());
-        // … every truncation fails cleanly …
-        for cut in [0, 4, 9, 17, 33, bytes.len() - 1] {
-            assert!(Analyzer::from_bytes(&bytes[..cut]).is_err());
-        }
-        // … and any flipped payload byte trips the checksum.
-        for i in (41..bytes.len()).step_by(7) {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x10;
-            assert!(Analyzer::from_bytes(&bad).is_err());
-        }
-    }
-
-    #[test]
     fn nondeterministic_models_report_bounds() {
         // FDEP trigger feeding both inputs of a PAND (Figure 6a): the failure
         // order is unresolved, so unreliability is an interval.
@@ -2590,7 +1820,7 @@ mod tests {
 
     /// A mixed tree whose dynamic core (a spare pair) sits under a static
     /// crown: OR(SPARE(P, S), AND(X, Y)).
-    fn mixed_tree(prefix: &str) -> Dft {
+    pub(crate) fn mixed_tree(prefix: &str) -> Dft {
         let mut b = DftBuilder::new();
         let p = b
             .basic_event(&format!("{prefix}_P"), 1.0, Dormancy::Hot)
@@ -2740,44 +1970,6 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_sessions_roundtrip_through_bytes() {
-        let dft = mixed_tree("en16");
-        let options = AnalysisOptions {
-            method: Method::Hybrid,
-            ..AnalysisOptions::default()
-        };
-        let hybrid = Analyzer::new(&dft, options).unwrap();
-        let restored = Analyzer::from_bytes(&hybrid.to_bytes()).unwrap();
-
-        assert_eq!(restored.method(), Method::Hybrid);
-        assert_eq!(restored.module_stats(), hybrid.module_stats());
-        assert_eq!(restored.model_stats(), hybrid.model_stats());
-        assert_eq!(
-            restored.aggregation_runs(),
-            0,
-            "restored sessions ran nothing"
-        );
-
-        let measure = Measure::UnreliabilityCurve(vec![0.5, 1.0, 3.0]);
-        assert_eq!(
-            bits_of(&hybrid.query(&measure).unwrap()),
-            bits_of(&restored.query(&measure).unwrap()),
-            "a restored hybrid session must answer bit-identically"
-        );
-
-        // Corruption safety: truncations and bit flips die cleanly.
-        let bytes = hybrid.to_bytes();
-        for cut in [0, 4, 9, 17, 33, bytes.len() - 1] {
-            assert!(Analyzer::from_bytes(&bytes[..cut]).is_err());
-        }
-        for i in (41..bytes.len()).step_by(7) {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x10;
-            assert!(Analyzer::from_bytes(&bad).is_err());
-        }
-    }
-
-    #[test]
     fn parametric_hybrid_matches_instantiate_plus_query() {
         let dft = mixed_tree("en17");
         let options = AnalysisOptions {
@@ -2826,27 +2018,109 @@ mod tests {
                 );
             }
         }
+    }
 
-        // The parametric hybrid session roundtrips through bytes.
-        let restored = ParametricAnalyzer::from_bytes(&parametric.to_bytes()).unwrap();
-        assert_eq!(restored.module_stats(), parametric.module_stats());
-        assert_eq!(restored.aggregation_runs(), 0);
-        let base = parametric.base_valuation();
-        assert_eq!(
-            bits_of(
-                &restored
-                    .instantiate(&base)
-                    .unwrap()
-                    .query(&measure)
-                    .unwrap()
-            ),
-            bits_of(
-                &parametric
-                    .instantiate(&base)
-                    .unwrap()
-                    .query(&measure)
-                    .unwrap()
-            ),
-        );
+    /// A cold-spare pair: compositional, deterministic, not repairable.
+    fn spare_pair(prefix: &str) -> Dft {
+        let mut b = DftBuilder::new();
+        let p = b
+            .basic_event(&format!("{prefix}_P"), 0.8, Dormancy::Hot)
+            .unwrap();
+        let s = b
+            .basic_event(&format!("{prefix}_S"), 1.2, Dormancy::Cold)
+            .unwrap();
+        let top = b.spare_gate(&format!("{prefix}_Top"), &[p, s]).unwrap();
+        b.build(top).unwrap()
+    }
+
+    fn with(method: Method) -> AnalysisOptions {
+        AnalysisOptions {
+            method,
+            ..AnalysisOptions::default()
+        }
+    }
+
+    #[test]
+    fn every_session_flavour_round_trips_bit_identically_through_bytes() {
+        let mut b = DftBuilder::new();
+        let x = b
+            .repairable_basic_event("en8_X", 1.0, Dormancy::Hot, 9.0)
+            .unwrap();
+        let top = b.or_gate("en8_Top", &[x]).unwrap();
+        let repairable = b.build(top).unwrap();
+        let measures = [
+            Measure::Unreliability(1.0),
+            Measure::curve([0.25, 0.5, 1.0, 2.0]),
+            Measure::Mttf,
+            // Exercises the lazily extracted tangible CTMC, which a restored
+            // session re-derives from the decoded closed model.
+            Measure::Unavailability,
+        ];
+        for (dft, method) in [
+            (spare_pair("en6"), Method::Compositional),
+            (spare_pair("en7"), Method::Monolithic),
+            (repairable, Method::Compositional),
+            (mixed_tree("en16"), Method::Hybrid),
+        ] {
+            let built = Analyzer::new(&dft, with(method)).unwrap();
+            let bytes = built.to_bytes();
+            let restored = Analyzer::from_bytes(&bytes).unwrap();
+            assert_eq!(restored.method(), method);
+            assert_eq!(
+                built.aggregation_runs(),
+                usize::from(method != Method::Monolithic)
+            );
+            assert_eq!(restored.aggregation_runs(), 0, "no pipeline ran on restore");
+            let shape = |a: &Analyzer| a.aggregation_stats().map(|s| (s.peak, s.steps.len()));
+            assert_eq!(shape(&restored), shape(&built));
+            assert_eq!(restored.model_stats(), built.model_stats());
+            assert_eq!(restored.module_stats(), built.module_stats());
+            // Every answer — and every refusal — survives the round trip.
+            for measure in &measures {
+                let bits = |a: &Analyzer| a.query(measure).ok().map(|r| bits_of(&r));
+                assert_eq!(bits(&built), bits(&restored), "{method:?} {measure:?}");
+            }
+
+            // Corruption safety: session bytes are not parametric bytes (the
+            // kind tag differs), every truncation fails cleanly, and any
+            // flipped payload byte trips the checksum.
+            assert!(ParametricAnalyzer::from_bytes(&bytes).is_err());
+            for cut in [0, 4, 9, 17, 33, bytes.len() - 1] {
+                assert!(Analyzer::from_bytes(&bytes[..cut]).is_err());
+            }
+            for i in (41..bytes.len()).step_by(7) {
+                let mut bad = bytes.clone();
+                bad[i] ^= 0x10;
+                assert!(Analyzer::from_bytes(&bad).is_err());
+            }
+        }
+        assert!(Analyzer::from_bytes(&[]).is_err());
+        assert!(Analyzer::from_bytes(b"not a store entry at all").is_err());
+        assert!(ParametricAnalyzer::from_bytes(&[0xff; 64]).is_err());
+    }
+
+    #[test]
+    fn parametric_sessions_round_trip_bit_identically_through_bytes() {
+        for (dft, method) in [
+            (spare_pair("en9"), Method::Compositional),
+            (mixed_tree("en17"), Method::Hybrid),
+        ] {
+            let built = ParametricAnalyzer::new(&dft, with(method)).unwrap();
+            let restored = ParametricAnalyzer::from_bytes(&built.to_bytes()).unwrap();
+            assert_eq!(restored.aggregation_runs(), 0);
+            assert_eq!(built.aggregation_runs(), 1);
+            assert_eq!(restored.params(), built.params());
+            assert_eq!(restored.model_stats(), built.model_stats());
+            assert_eq!(restored.module_stats(), built.module_stats());
+            for scale in [0.5, 1.0, 2.5] {
+                let valuation = built.params().scaled_valuation(scale);
+                let a = built.instantiate(&valuation).unwrap();
+                let b = restored.instantiate(&valuation).unwrap();
+                assert_eq!(b.aggregation_runs(), 0);
+                let qa = a.query(Measure::curve([0.5, 1.0])).unwrap();
+                let qb = b.query(Measure::curve([0.5, 1.0])).unwrap();
+                assert_eq!(bits_of(&qa), bits_of(&qb));
+            }
+        }
     }
 }

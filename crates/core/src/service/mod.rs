@@ -110,7 +110,7 @@ use crate::engine::{Analyzer, ParametricAnalyzer};
 use crate::parametric::Valuation;
 use crate::query::{Measure, MeasureResult};
 use crate::request::AnalysisRequest;
-use crate::store::{ModelStore, StoreStats};
+use crate::store::{ModelStore, Persist, StoreStats};
 use crate::{Error, Result};
 use dft::Dft;
 use handle::SweepState;
@@ -173,78 +173,52 @@ impl Default for ServiceOptions {
 /// tree analysed monolithically or with a different epsilon is a different
 /// model (epsilon drives every numerical query on the session).
 ///
-/// Sessions *instantiated from a parametric model* additionally carry the
-/// valuation fingerprint: their structure key is the rate-blind
-/// [`Dft::structural_fingerprint`] (the valuation fully determines the rates),
-/// so a fleet of rate variants shares one parametric model and each distinct
-/// valuation one instantiated session.
+/// Parametric models are keyed by the rate-blind
+/// [`Dft::structural_fingerprint`], so a fleet of rate variants shares one
+/// parametric model.  The method takes part even though only the
+/// compositional and hybrid methods can ever *succeed*: a monolithic sweep
+/// caches its deterministic `Unsupported` error under its own key instead of
+/// poisoning the compositional entry for the same structure.  Sessions
+/// *instantiated from a parametric model* carry the same structural key plus
+/// the valuation fingerprint (the valuation fully determines the rates), so
+/// each distinct valuation gets one instantiated session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CacheKey {
     fingerprint: u64,
     method: Method,
     epsilon_bits: u64,
     /// `Some(valuation fingerprint)` for instantiated parametric sessions,
-    /// `None` for directly built ones.
+    /// `None` for directly built ones and parametric models.
     valuation: Option<u64>,
 }
 
 impl CacheKey {
-    fn new(dft: &Dft, options: &AnalysisOptions) -> CacheKey {
+    fn new(fingerprint: u64, options: &AnalysisOptions, valuation: Option<&Valuation>) -> CacheKey {
         CacheKey {
-            fingerprint: dft.fingerprint(),
+            fingerprint,
             method: options.method,
             epsilon_bits: options.epsilon.to_bits(),
-            valuation: None,
+            valuation: valuation.map(Valuation::fingerprint),
         }
     }
-
-    fn instance(structural: u64, options: &AnalysisOptions, valuation: &Valuation) -> CacheKey {
-        CacheKey {
-            fingerprint: structural,
-            method: options.method,
-            epsilon_bits: options.epsilon.to_bits(),
-            valuation: Some(valuation.fingerprint()),
-        }
-    }
-}
-
-/// Parametric models are shared per rate-blind structure and analysis
-/// configuration.  The method takes part even though only the compositional
-/// method can ever *succeed*: a monolithic sweep caches its deterministic
-/// `Unsupported` error under its own key instead of poisoning the
-/// compositional entry for the same structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ParamCacheKey {
-    structural_fingerprint: u64,
-    method: Method,
-    epsilon_bits: u64,
 }
 
 /// A cache slot: `OnceLock` guarantees the build runs exactly once even when
 /// several workers race for the same key — latecomers block until the winner's
 /// session (or its error, which is equally deterministic) is available.
-type Slot = Arc<OnceLock<std::result::Result<Arc<Analyzer>, Error>>>;
-
-/// The parametric-model counterpart of [`Slot`].
-type ParamSlot = Arc<OnceLock<std::result::Result<Arc<ParametricAnalyzer>, Error>>>;
+type Slot<T> = Arc<OnceLock<std::result::Result<Arc<T>, Error>>>;
 
 #[derive(Debug)]
-struct CacheEntry {
-    slot: Slot,
-    last_used: u64,
-}
-
-#[derive(Debug)]
-struct ParamCacheEntry {
-    slot: ParamSlot,
+struct CacheEntry<T> {
+    slot: Slot<T>,
     last_used: u64,
 }
 
 #[derive(Debug, Default)]
 struct Cache {
-    entries: HashMap<CacheKey, CacheEntry>,
+    entries: HashMap<CacheKey, CacheEntry<Analyzer>>,
     /// Parametric (symbolic-rate) models, keyed by rate-blind structure.
-    param_entries: HashMap<ParamCacheKey, ParamCacheEntry>,
+    param_entries: HashMap<CacheKey, CacheEntry<ParametricAnalyzer>>,
     /// Monotonic use counter backing the LRU order (no wall clock involved, so
     /// the order is deterministic under a single worker).
     tick: u64,
@@ -518,9 +492,11 @@ impl AnalysisService {
     /// failure is deterministic, so retrying a structurally identical tree
     /// returns the same error without paying the construction cost again.
     pub fn analyzer(&self, dft: &Dft, options: &AnalysisOptions) -> Result<Arc<Analyzer>> {
-        let (session, _, _) = self
-            .core
-            .session_tracked(CacheKey::new(dft, options), dft, options);
+        let (session, _, _) = self.core.session_tracked(
+            CacheKey::new(dft.fingerprint(), options, None),
+            dft,
+            options,
+        );
         session
     }
 
@@ -553,7 +529,7 @@ impl AnalysisService {
         match request.sweep {
             None => {
                 self.ensure_pool();
-                let key = CacheKey::new(&request.dft, &request.options);
+                let key = CacheKey::new(request.dft.fingerprint(), &request.options, None);
                 self.core.queue.push(Task::Job {
                     request: Box::new(request),
                     key,
@@ -695,44 +671,61 @@ fn resolved_workers(options: &ServiceOptions) -> usize {
     }
 }
 
+/// Fills `slot` exactly once with the outcome of `build` and bumps the
+/// matching one of the `[hits, misses]` counters.  Returns the session (or its
+/// build error, which is equally deterministic and cached too), whether it was
+/// a cache hit — the session existed or a concurrent worker built it — and
+/// whether that hit *blocked* on the concurrent builder.
+fn fill<T>(
+    slot: &Slot<T>,
+    [hits, misses]: [&AtomicUsize; 2],
+    build: impl FnOnce() -> Result<T>,
+) -> (Result<Arc<T>>, bool, bool) {
+    // A slot that is still empty here either becomes ours to build or means
+    // another worker is building it right now — in the latter case the
+    // `get_or_init` below blocks for the whole build.
+    let ready = slot.get().is_some();
+    let mut built = false;
+    let outcome = slot.get_or_init(|| {
+        built = true;
+        build().map(Arc::new)
+    });
+    let counter = if built { misses } else { hits };
+    counter.fetch_add(1, Ordering::Relaxed);
+    (outcome.clone(), !built, !built && !ready)
+}
+
 impl ServiceCore {
     /// Executes one plain request against the cache: build-or-fetch the
     /// session, then answer the measures.  `key` was computed once at
     /// submission.
     fn run_job(&self, key: CacheKey, request: &AnalysisRequest) -> JobReport {
-        let fingerprint = key.fingerprint;
         let build_start = Instant::now();
         let (session, cache_hit, build_wait) =
             self.session_tracked(key, &request.dft, &request.options);
         let build = build_start.elapsed();
-        match session {
-            Err(e) => JobReport {
-                fingerprint,
-                cache_hit,
-                results: Err(e),
-                aggregation_runs: 0,
-                build_wait,
-                build,
-                query: Duration::ZERO,
-            },
+        let (results, aggregation_runs, query) = match session {
+            Err(e) => (Err(e), 0, Duration::ZERO),
             Ok(analyzer) => {
-                let aggregation_runs = if cache_hit {
+                // A hit ran no aggregation of its own.
+                let runs = if cache_hit {
                     0
                 } else {
                     analyzer.aggregation_runs()
                 };
                 let query_start = Instant::now();
                 let results = analyzer.query_all(&request.measures);
-                JobReport {
-                    fingerprint,
-                    cache_hit,
-                    results,
-                    aggregation_runs,
-                    build_wait,
-                    build,
-                    query: query_start.elapsed(),
-                }
+                (results, runs, query_start.elapsed())
             }
+        };
+        JobReport {
+            fingerprint: key.fingerprint,
+            cache_hit,
+            results,
+            aggregation_runs,
+            build_wait,
+            build,
+            query,
         }
     }
 
@@ -746,53 +739,31 @@ impl ServiceCore {
         measures: &[Measure],
         valuation: &Valuation,
     ) -> SweepPointReport {
-        let valuation_fingerprint = valuation.fingerprint();
+        let report = |cache_hit, results, instantiate, query| SweepPointReport {
+            valuation_fingerprint: valuation.fingerprint(),
+            cache_hit,
+            results,
+            instantiate,
+            query,
+        };
         let parametric = match parametric {
             Ok(p) => p,
-            Err(e) => {
-                return SweepPointReport {
-                    valuation_fingerprint,
-                    cache_hit: false,
-                    results: Err(e.clone()),
-                    instantiate: Duration::ZERO,
-                    query: Duration::ZERO,
-                }
-            }
+            Err(e) => return report(false, Err(e.clone()), Duration::ZERO, Duration::ZERO),
         };
 
-        let key = CacheKey::instance(structural, options, valuation);
+        let key = CacheKey::new(structural, options, Some(valuation));
         let instantiate_start = Instant::now();
-        let slot = self.reserve(key);
-        let mut built = false;
-        let outcome = slot.get_or_init(|| {
-            built = true;
-            parametric.instantiate(valuation).map(Arc::new)
+        let slot = self.reserve(key, |cache| &mut cache.entries, &self.evictions);
+        let (session, cache_hit, _) = fill(&slot, [&self.hits, &self.misses], || {
+            parametric.instantiate(valuation)
         });
-        if built {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
         let instantiate = instantiate_start.elapsed();
-
-        match outcome {
-            Err(e) => SweepPointReport {
-                valuation_fingerprint,
-                cache_hit: !built,
-                results: Err(e.clone()),
-                instantiate,
-                query: Duration::ZERO,
-            },
+        match session {
+            Err(e) => report(cache_hit, Err(e), instantiate, Duration::ZERO),
             Ok(session) => {
                 let query_start = Instant::now();
                 let results = session.query_all(measures);
-                SweepPointReport {
-                    valuation_fingerprint,
-                    cache_hit: !built,
-                    results,
-                    instantiate,
-                    query: query_start.elapsed(),
-                }
+                report(cache_hit, results, instantiate, query_start.elapsed())
             }
         }
     }
@@ -805,47 +776,19 @@ impl ServiceCore {
         dft: &Dft,
         options: &AnalysisOptions,
     ) -> (Result<Arc<ParametricAnalyzer>>, bool) {
-        let key = ParamCacheKey {
-            structural_fingerprint: structural,
-            method: options.method,
-            epsilon_bits: options.epsilon.to_bits(),
-        };
-        let slot = self.reserve_param(key);
-        let mut built = false;
-        let outcome = slot.get_or_init(|| {
-            built = true;
-            // Consult the cross-process store first: a warm entry (written by
-            // an earlier run, or by a fleet neighbour sharing the directory)
-            // turns the aggregation into a disk read; the restored model
-            // reports `aggregation_runs() == 0`.
-            if let Some(store) = &self.store {
-                if let Some(parametric) = store.load_parametric(structural, options) {
-                    return Ok(Arc::new(parametric));
-                }
-            }
-            let result = ParametricAnalyzer::new(dft, options.clone()).map(Arc::new);
-            if let (Some(store), Ok(parametric)) = (&self.store, &result) {
-                // Best-effort write-back: a failure is counted in the store's
-                // own stats and the entry stays in-memory-only.
-                let _ = store.save_parametric(structural, parametric);
-            }
-            result
+        let key = CacheKey::new(structural, options, None);
+        let slot = self.reserve(
+            key,
+            |cache| &mut cache.param_entries,
+            &self.parametric_evictions,
+        );
+        let counters = [&self.parametric_hits, &self.parametric_misses];
+        let (parametric, hit, _) = fill(&slot, counters, || {
+            self.load_or_build(structural, options, || {
+                ParametricAnalyzer::new(dft, options.clone())
+            })
         });
-        if built {
-            self.parametric_misses.fetch_add(1, Ordering::Relaxed);
-            if let Ok(parametric) = outcome {
-                self.record_hybrid(parametric.options().method, parametric.module_stats());
-            }
-        } else {
-            self.parametric_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        (
-            match outcome {
-                Ok(parametric) => Ok(Arc::clone(parametric)),
-                Err(e) => Err(e.clone()),
-            },
-            !built,
-        )
+        (parametric, hit)
     }
 
     /// Cumulative cache counters since the service was created.
@@ -877,56 +820,55 @@ impl ServiceCore {
             .is_some_and(|entry| entry.slot.get().is_some())
     }
 
-    /// Get-or-build with exactly-once semantics; the first boolean is `true`
-    /// for a cache hit (the session existed or a concurrent worker built it),
-    /// the second when the hit *blocked* on a concurrent builder.  The caller
-    /// supplies the key so the fingerprint is hashed once per job.
+    /// Get-or-build with exactly-once semantics, as [`fill`] returns it.  The
+    /// caller supplies the key so the fingerprint is hashed once per job.
     fn session_tracked(
         &self,
         key: CacheKey,
         dft: &Dft,
         options: &AnalysisOptions,
     ) -> (Result<Arc<Analyzer>>, bool, bool) {
-        let slot = self.reserve(key);
-        // A slot that is still empty here either becomes ours to build or means
-        // another worker is building it right now — in the latter case the
-        // `get_or_init` below blocks for the whole build.
-        let ready = slot.get().is_some();
-        let mut built = false;
-        let outcome = slot.get_or_init(|| {
-            built = true;
-            // Cross-process store first (see `parametric` above): a warm
-            // entry replaces the whole build with a disk read.  Instantiated
-            // parametric sessions never reach this path (they are built in
-            // `run_sweep_point`), so only directly built sessions are
-            // persisted.
-            if let Some(store) = &self.store {
-                if let Some(analyzer) = store.load_analyzer(key.fingerprint, options) {
-                    return Ok(Arc::new(analyzer));
+        let slot = self.reserve(key, |cache| &mut cache.entries, &self.evictions);
+        fill(&slot, [&self.hits, &self.misses], || {
+            self.load_or_build(key.fingerprint, options, || {
+                Analyzer::new(dft, options.clone())
+            })
+        })
+    }
+
+    /// The one load → build → save → count path behind both caches (run
+    /// inside the slot's one-time initialisation).
+    ///
+    /// With a store configured, it is consulted before building: a warm
+    /// entry (written by an earlier run, or by a fleet neighbour sharing the
+    /// directory) turns the aggregation into a disk read, and the restored
+    /// session reports `aggregation_runs() == 0`.  A fresh build is written
+    /// back best-effort: a failure is counted in the store's own stats and
+    /// the entry stays in-memory-only.  Instantiated parametric sessions never
+    /// come through here (they are built in `run_sweep_point`), so only
+    /// directly built sessions and parametric models are persisted.
+    fn load_or_build<S: Persist>(
+        &self,
+        fingerprint: u64,
+        options: &AnalysisOptions,
+        build: impl FnOnce() -> Result<S>,
+    ) -> Result<S> {
+        let stored = self
+            .store
+            .as_ref()
+            .and_then(|store| store.load(fingerprint, options));
+        let session = match stored {
+            Some(session) => session,
+            None => {
+                let session = build()?;
+                if let Some(store) = &self.store {
+                    let _ = store.save(fingerprint, &session);
                 }
+                session
             }
-            let result = Analyzer::new(dft, options.clone()).map(Arc::new);
-            if let (Some(store), Ok(analyzer)) = (&self.store, &result) {
-                let _ = store.save_analyzer(key.fingerprint, analyzer);
-            }
-            result
-        });
-        if built {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            if let Ok(analyzer) = outcome {
-                self.record_hybrid(analyzer.method(), analyzer.module_stats());
-            }
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        (
-            match outcome {
-                Ok(analyzer) => Ok(Arc::clone(analyzer)),
-                Err(e) => Err(e.clone()),
-            },
-            !built,
-            !built && !ready,
-        )
+        };
+        self.record_hybrid(session.header().options.method, session.module_stats());
+        Ok(session)
     }
 
     /// Bumps the [`HybridStats`] counters for one fresh build (no-op for the
@@ -962,20 +904,33 @@ impl ServiceCore {
         }
     }
 
-    /// Returns the slot for `key`, inserting a fresh one (and evicting the
-    /// least recently used *initialized* entry beyond capacity) under the cache
-    /// lock.  The actual build happens outside the lock, so a slow aggregation
-    /// never stalls jobs for other trees.
-    fn reserve(&self, key: CacheKey) -> Slot {
+    /// Returns the slot for `key` in the cache `entries` selects, inserting a
+    /// fresh one (and evicting the least recently used *initialized* entry
+    /// beyond capacity, counted in `evictions`) under the cache lock.  The
+    /// actual build happens outside the lock, so a slow aggregation never
+    /// stalls jobs for other trees.
+    ///
+    /// Sessions and parametric models share this LRU policy, the capacity
+    /// and the use counter, but not their key spaces: parametric models are
+    /// far rarer and far more valuable than instantiated sessions, so they do
+    /// not compete with them for slots, and their evictions are counted
+    /// apart ([`CacheStats::parametric_evictions`]).
+    fn reserve<T>(
+        &self,
+        key: CacheKey,
+        entries: impl FnOnce(&mut Cache) -> &mut HashMap<CacheKey, CacheEntry<T>>,
+        evictions: &AtomicUsize,
+    ) -> Slot<T> {
         let mut cache = self.cache.lock().expect("cache lock");
         cache.tick += 1;
         let tick = cache.tick;
-        if let Some(entry) = cache.entries.get_mut(&key) {
+        let entries = entries(&mut cache);
+        if let Some(entry) = entries.get_mut(&key) {
             entry.last_used = tick;
             return Arc::clone(&entry.slot);
         }
-        let slot: Slot = Arc::new(OnceLock::new());
-        cache.entries.insert(
+        let slot: Slot<T> = Arc::new(OnceLock::new());
+        entries.insert(
             key,
             CacheEntry {
                 slot: Arc::clone(&slot),
@@ -983,59 +938,18 @@ impl ServiceCore {
             },
         );
         let capacity = self.options.cache_capacity;
-        while capacity > 0 && cache.entries.len() > capacity {
+        while capacity > 0 && entries.len() > capacity {
             // In-flight (uninitialized) slots are exempt: evicting one would let
             // a racing duplicate rebuild the same model.
-            let victim = cache
-                .entries
+            let victim = entries
                 .iter()
                 .filter(|(k, e)| **k != key && e.slot.get().is_some())
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| *k);
             match victim {
                 Some(k) => {
-                    cache.entries.remove(&k);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
-            }
-        }
-        slot
-    }
-
-    /// [`reserve`](Self::reserve) for the parametric-model cache: same LRU
-    /// policy and capacity, its own key space (parametric models are far
-    /// rarer and far more valuable than instantiated sessions, so they do not
-    /// compete with them for slots) and its own eviction counter
-    /// ([`CacheStats::parametric_evictions`]).
-    fn reserve_param(&self, key: ParamCacheKey) -> ParamSlot {
-        let mut cache = self.cache.lock().expect("cache lock");
-        cache.tick += 1;
-        let tick = cache.tick;
-        if let Some(entry) = cache.param_entries.get_mut(&key) {
-            entry.last_used = tick;
-            return Arc::clone(&entry.slot);
-        }
-        let slot: ParamSlot = Arc::new(OnceLock::new());
-        cache.param_entries.insert(
-            key,
-            ParamCacheEntry {
-                slot: Arc::clone(&slot),
-                last_used: tick,
-            },
-        );
-        let capacity = self.options.cache_capacity;
-        while capacity > 0 && cache.param_entries.len() > capacity {
-            let victim = cache
-                .param_entries
-                .iter()
-                .filter(|(k, e)| **k != key && e.slot.get().is_some())
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    cache.param_entries.remove(&k);
-                    self.parametric_evictions.fetch_add(1, Ordering::Relaxed);
+                    entries.remove(&k);
+                    evictions.fetch_add(1, Ordering::Relaxed);
                 }
                 None => break,
             }

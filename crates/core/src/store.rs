@@ -7,9 +7,9 @@
 //! across processes and platforms by construction.  A [`ModelStore`] therefore
 //! serializes *closed* models — the final minimised I/O-IMC with its can/must
 //! CTMDP pair and goal vectors, or the parametric quotient with its
-//! [`ParamTable`](crate::parametric::ParamTable) — into a directory shared
-//! between runs and between a fleet of analysis servers, turning a restart
-//! from N full aggregations into N disk reads.
+//! [`ParamTable`] — into a directory shared between runs and between a fleet
+//! of analysis servers, turning a restart from N full aggregations into N
+//! disk reads.
 //!
 //! # Entry format
 //!
@@ -20,9 +20,10 @@
 //! epsilon bits u64 | payload length u64 | payload FNV-1a checksum u64 | payload
 //! ```
 //!
-//! The payload is the [`Analyzer::to_bytes`](crate::engine::Analyzer) /
-//! [`ParametricAnalyzer`] body built on the
-//! rate-generic [`ioimc::codec`].  Readers reject — and callers then rebuild —
+//! The payload is a session body, written and read by this module's one
+//! session codec for both [`Analyzer`] and [`ParametricAnalyzer`] on top of
+//! the rate-generic [`ioimc::codec`]; a hybrid body nests one compositional
+//! body per dynamic core.  Readers reject — and callers then rebuild —
 //! on *any* mismatch: wrong magic or version, foreign fingerprint, different
 //! ε, short file, checksum failure, or a payload that decodes but fails model
 //! validation.  Rejections are counted in [`StoreStats::rejected`]; they are
@@ -49,14 +50,22 @@
 
 use crate::aggregate::{AggregationStats, StepStats};
 use crate::analysis::{AnalysisOptions, Method};
-use crate::engine::{Analyzer, ParametricAnalyzer};
+use crate::engine::{
+    Analyzer, Backend, ClosedModel, Header, Hybrid, Leaf, ParametricAnalyzer, ParametricBackend,
+    ParametricCore, Session,
+};
+use crate::parametric::{ParamKind, ParamTable};
 use crate::{Error, Result};
+use dft::bdd::{Bdd, BddNode};
 use dft::modules::ModuleStats;
-use ioimc::codec::{DecodeError, DecodeResult, Reader, Writer};
+use ioimc::codec::{self, DecodeError, DecodeResult, Reader, Writer};
 use ioimc::stats::ModelStats;
+use ioimc::Action;
 use markov::ctmdp::{Ctmdp, CtmdpState};
+use markov::Ctmc;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// File magic: "DFTM" (dynamic fault tree model).
 const MAGIC: [u8; 4] = *b"DFTM";
@@ -106,7 +115,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Frames a payload: magic, version, kind, identity, length, checksum, body.
-pub(crate) fn seal(kind: Kind, fingerprint: u64, epsilon_bits: u64, payload: &[u8]) -> Vec<u8> {
+fn seal(kind: Kind, fingerprint: u64, epsilon_bits: u64, payload: &[u8]) -> Vec<u8> {
     let mut w = Writer::new();
     w.bytes(&MAGIC);
     w.u32(FORMAT_VERSION);
@@ -123,11 +132,7 @@ pub(crate) fn seal(kind: Kind, fingerprint: u64, epsilon_bits: u64, payload: &[u
 /// fingerprint and ε-bits the caller is looking up; `None` (the
 /// `from_bytes` path) accepts any identity but still verifies magic,
 /// version, kind, length and checksum.
-pub(crate) fn unseal(
-    bytes: &[u8],
-    kind: Kind,
-    expected: Option<(u64, u64)>,
-) -> DecodeResult<&[u8]> {
+fn unseal(bytes: &[u8], kind: Kind, expected: Option<(u64, u64)>) -> DecodeResult<&[u8]> {
     let mut r = Reader::new(bytes);
     let mut magic = [0u8; 4];
     for b in &mut magic {
@@ -183,38 +188,30 @@ pub(crate) fn unseal(
 }
 
 // ---------------------------------------------------------------------------
-// Shared payload helpers (used by the engine's to_bytes/from_bytes codecs).
+// Shared payload helpers of the session codec below.
 // ---------------------------------------------------------------------------
 
-pub(crate) fn encode_method(method: Method, w: &mut Writer) {
-    w.u8(match method {
+fn encode_options(options: &AnalysisOptions, w: &mut Writer) {
+    w.f64(options.epsilon);
+    w.u8(match options.method {
         Method::Compositional => 0,
         Method::Monolithic => 1,
         Method::Hybrid => 2,
     });
 }
 
-pub(crate) fn decode_method(r: &mut Reader<'_>) -> DecodeResult<Method> {
-    match r.u8()? {
-        0 => Ok(Method::Compositional),
-        1 => Ok(Method::Monolithic),
-        2 => Ok(Method::Hybrid),
-        other => Err(DecodeError::new(format!("invalid method tag {other}"))),
-    }
-}
-
-pub(crate) fn encode_options(options: &AnalysisOptions, w: &mut Writer) {
-    w.f64(options.epsilon);
-    encode_method(options.method, w);
-}
-
-pub(crate) fn decode_options(r: &mut Reader<'_>) -> DecodeResult<AnalysisOptions> {
+fn decode_options(r: &mut Reader<'_>) -> DecodeResult<AnalysisOptions> {
     let epsilon = r.f64()?;
-    let method = decode_method(r)?;
+    let method = match r.u8()? {
+        0 => Method::Compositional,
+        1 => Method::Monolithic,
+        2 => Method::Hybrid,
+        other => return Err(DecodeError::new(format!("invalid method tag {other}"))),
+    };
     Ok(AnalysisOptions { epsilon, method })
 }
 
-pub(crate) fn encode_model_stats(stats: ModelStats, w: &mut Writer) {
+fn encode_model_stats(stats: ModelStats, w: &mut Writer) {
     w.len_prefix(stats.states);
     w.len_prefix(stats.interactive_transitions);
     w.len_prefix(stats.markovian_transitions);
@@ -223,7 +220,7 @@ pub(crate) fn encode_model_stats(stats: ModelStats, w: &mut Writer) {
     w.len_prefix(stats.internals);
 }
 
-pub(crate) fn decode_model_stats(r: &mut Reader<'_>) -> DecodeResult<ModelStats> {
+fn decode_model_stats(r: &mut Reader<'_>) -> DecodeResult<ModelStats> {
     Ok(ModelStats {
         states: r.len_prefix(0)?,
         interactive_transitions: r.len_prefix(0)?,
@@ -234,7 +231,7 @@ pub(crate) fn decode_model_stats(r: &mut Reader<'_>) -> DecodeResult<ModelStats>
     })
 }
 
-pub(crate) fn encode_module_stats(stats: ModuleStats, w: &mut Writer) {
+fn encode_module_stats(stats: ModuleStats, w: &mut Writer) {
     w.len_prefix(stats.total_elements);
     w.len_prefix(stats.static_modules);
     w.len_prefix(stats.dynamic_modules);
@@ -244,7 +241,7 @@ pub(crate) fn encode_module_stats(stats: ModuleStats, w: &mut Writer) {
     w.len_prefix(stats.core_elements);
 }
 
-pub(crate) fn decode_module_stats(r: &mut Reader<'_>) -> DecodeResult<ModuleStats> {
+fn decode_module_stats(r: &mut Reader<'_>) -> DecodeResult<ModuleStats> {
     Ok(ModuleStats {
         total_elements: r.len_prefix(0)?,
         static_modules: r.len_prefix(0)?,
@@ -256,7 +253,7 @@ pub(crate) fn decode_module_stats(r: &mut Reader<'_>) -> DecodeResult<ModuleStat
     })
 }
 
-pub(crate) fn encode_aggregation_stats(stats: &AggregationStats, w: &mut Writer) {
+fn encode_aggregation_stats(stats: &AggregationStats, w: &mut Writer) {
     w.len_prefix(stats.steps.len());
     for step in &stats.steps {
         w.str(&step.composed.0);
@@ -269,7 +266,7 @@ pub(crate) fn encode_aggregation_stats(stats: &AggregationStats, w: &mut Writer)
     encode_model_stats(stats.final_model, w);
 }
 
-pub(crate) fn decode_aggregation_stats(r: &mut Reader<'_>) -> DecodeResult<AggregationStats> {
+fn decode_aggregation_stats(r: &mut Reader<'_>) -> DecodeResult<AggregationStats> {
     let num_steps = r.len_prefix(1)?;
     let mut steps = Vec::with_capacity(num_steps);
     for _ in 0..num_steps {
@@ -294,21 +291,21 @@ pub(crate) fn decode_aggregation_stats(r: &mut Reader<'_>) -> DecodeResult<Aggre
     })
 }
 
-pub(crate) fn encode_bools(bools: &[bool], w: &mut Writer) {
+fn encode_bools(bools: &[bool], w: &mut Writer) {
     w.len_prefix(bools.len());
     for &b in bools {
         w.bool(b);
     }
 }
 
-pub(crate) fn decode_bools(r: &mut Reader<'_>) -> DecodeResult<Vec<bool>> {
+fn decode_bools(r: &mut Reader<'_>) -> DecodeResult<Vec<bool>> {
     let n = r.len_prefix(1)?;
     (0..n).map(|_| r.bool()).collect()
 }
 
 /// Serializes a CTMDP: the state vector, the initial state and the goal
 /// vector — exactly the triple [`Ctmdp::new`] consumes on the way back.
-pub(crate) fn encode_ctmdp(ctmdp: &Ctmdp, w: &mut Writer) {
+fn encode_ctmdp(ctmdp: &Ctmdp, w: &mut Writer) {
     w.len_prefix(ctmdp.num_states());
     for state in ctmdp.states() {
         match state {
@@ -336,7 +333,7 @@ pub(crate) fn encode_ctmdp(ctmdp: &Ctmdp, w: &mut Writer) {
 /// Decodes a CTMDP through the validating [`Ctmdp::new`] constructor, so
 /// out-of-range targets and invalid rates in a corrupted entry surface as a
 /// clean [`DecodeError`].
-pub(crate) fn decode_ctmdp(r: &mut Reader<'_>) -> DecodeResult<Ctmdp> {
+fn decode_ctmdp(r: &mut Reader<'_>) -> DecodeResult<Ctmdp> {
     let num_states = r.len_prefix(1)?;
     let mut states = Vec::with_capacity(num_states);
     for _ in 0..num_states {
@@ -364,6 +361,497 @@ pub(crate) fn decode_ctmdp(r: &mut Reader<'_>) -> DecodeResult<Ctmdp> {
     let goal = decode_bools(r)?;
     Ctmdp::new(states, initial, goal)
         .map_err(|e| DecodeError::new(format!("decoded CTMDP is invalid: {e}")))
+}
+
+// ---------------------------------------------------------------------------
+// The session codec: one body layout per session type, framed, loaded and
+// saved through the same generic paths.
+// ---------------------------------------------------------------------------
+
+/// A session type the store persists: [`Analyzer`] or [`ParametricAnalyzer`].
+pub(crate) trait Persist: Session {
+    /// The frame kind of its entries.
+    const KIND: Kind;
+
+    /// Writes the session body onto a shared writer, without framing or
+    /// trailing checks: a hybrid body embeds one body per core back to back
+    /// on the same writer, so bodies must compose.
+    fn encode_body(&self, w: &mut Writer);
+
+    /// Reads one session body (the inverse of
+    /// [`encode_body`](Self::encode_body)).  `core` marks the body of a
+    /// hybrid core, which must be a compositional session: that is checked
+    /// before its backend is decoded, so a crafted entry cannot nest hybrid
+    /// bodies into unbounded recursion.
+    fn decode_body(r: &mut Reader<'_>, core: bool) -> DecodeResult<Self>;
+}
+
+/// Frames a session on its own (`to_bytes`).
+pub(crate) fn to_bytes<S: Persist>(session: &S) -> Vec<u8> {
+    // A free-standing serialization is not bound to a DFT fingerprint; the
+    // store writes its own frames with the real one.
+    let epsilon_bits = session.header().options.epsilon.to_bits();
+    seal(S::KIND, 0, epsilon_bits, &encode_payload(session))
+}
+
+/// Restores a session framed by [`to_bytes`] (`from_bytes`).
+pub(crate) fn from_bytes<S: Persist>(bytes: &[u8]) -> Result<S> {
+    unseal(bytes, S::KIND, None)
+        .and_then(decode_payload)
+        .map_err(|e| Error::Store {
+            message: e.to_string(),
+        })
+}
+
+/// The unframed payload of a session.
+fn encode_payload<S: Persist>(session: &S) -> Vec<u8> {
+    let mut w = Writer::new();
+    session.encode_body(&mut w);
+    w.into_bytes()
+}
+
+/// Decodes a payload produced by [`encode_payload`], re-validating every
+/// embedded model.
+fn decode_payload<S: Persist>(payload: &[u8]) -> DecodeResult<S> {
+    let mut r = Reader::new(payload);
+    let session = S::decode_body(&mut r, false)?;
+    if !r.is_done() {
+        return Err(DecodeError::new("trailing bytes after the session payload"));
+    }
+    Ok(session)
+}
+
+/// The header every body starts with.  Numeric sessions may lack
+/// aggregation statistics and flag their presence; parametric ones always
+/// carry them, unflagged.
+fn encode_header(header: &Header, optional_aggregation: bool, w: &mut Writer) {
+    encode_options(&header.options, w);
+    w.bool(header.repairable);
+    if optional_aggregation {
+        w.bool(header.aggregation.is_some());
+    }
+    if let Some(stats) = &header.aggregation {
+        encode_aggregation_stats(stats, w);
+    }
+    encode_model_stats(header.model_stats, w);
+}
+
+fn decode_header(
+    r: &mut Reader<'_>,
+    optional_aggregation: bool,
+    core: bool,
+) -> DecodeResult<Header> {
+    let options = decode_options(r)?;
+    if core && options.method != Method::Compositional {
+        return Err(DecodeError::new(
+            "hybrid cores must be compositional sessions",
+        ));
+    }
+    let repairable = r.bool()?;
+    let aggregation = if !optional_aggregation || r.bool()? {
+        Some(decode_aggregation_stats(r)?)
+    } else {
+        None
+    };
+    Ok(Header {
+        options,
+        repairable,
+        aggregation,
+        model_stats: decode_model_stats(r)?,
+        // A restored session ran no pipeline of its own.
+        aggregation_runs: 0,
+    })
+}
+
+/// The crown, leaves and cores of a hybrid body, for both session types:
+/// `basic` writes what a crown basic event carries, `core` writes one core.
+fn encode_hybrid<B: Copy, C>(
+    hybrid: &Hybrid<B, C>,
+    w: &mut Writer,
+    basic: impl Fn(B, &mut Writer),
+    core: impl Fn(&C, &mut Writer),
+) {
+    encode_module_stats(hybrid.modules, w);
+    w.len_prefix(hybrid.crown.node_count());
+    for node in hybrid.crown.nodes() {
+        w.u32(node.var);
+        w.u32(node.lo);
+        w.u32(node.hi);
+    }
+    w.u32(hybrid.crown.root());
+    w.len_prefix(hybrid.leaves.len());
+    for leaf in &hybrid.leaves {
+        match *leaf {
+            Leaf::Unused => w.u8(0),
+            Leaf::Basic(b) => {
+                w.u8(1);
+                basic(b, w);
+            }
+            Leaf::Core(index) => {
+                w.u8(2);
+                w.u32(index);
+            }
+        }
+    }
+    w.len_prefix(hybrid.cores.len());
+    for c in &hybrid.cores {
+        core(c, w);
+    }
+}
+
+/// Decodes what [`encode_hybrid`] wrote: `basic` reads and range-checks one
+/// basic-event payload, `core` reads one core.  The crown arena is
+/// re-validated, and every leaf must point at a core that exists and every
+/// crown variable at a used leaf.
+fn decode_hybrid<B: Copy, C>(
+    r: &mut Reader<'_>,
+    repairable: bool,
+    basic: impl Fn(&mut Reader<'_>) -> DecodeResult<B>,
+    mut core: impl FnMut(&mut Reader<'_>) -> DecodeResult<C>,
+) -> DecodeResult<Hybrid<B, C>> {
+    if repairable {
+        return Err(DecodeError::new(
+            "a hybrid decomposition cannot be repairable",
+        ));
+    }
+    let modules = decode_module_stats(r)?;
+    let n = r.len_prefix(12)?;
+    let mut nodes = Vec::with_capacity(n);
+    for _ in 0..n {
+        nodes.push(BddNode {
+            var: r.u32()?,
+            lo: r.u32()?,
+            hi: r.u32()?,
+        });
+    }
+    let root = r.u32()?;
+    let crown = Bdd::from_parts(nodes, root)
+        .map_err(|e| DecodeError::new(format!("decoded crown BDD is invalid: {e}")))?;
+    let n_leaves = r.len_prefix(1)?;
+    let mut leaves = Vec::with_capacity(n_leaves);
+    for _ in 0..n_leaves {
+        leaves.push(match r.u8()? {
+            0 => Leaf::Unused,
+            1 => Leaf::Basic(basic(r)?),
+            2 => Leaf::Core(r.u32()?),
+            tag => return Err(DecodeError::new(format!("unknown hybrid leaf tag {tag}"))),
+        });
+    }
+    let n_cores = r.len_prefix(1)?;
+    let cores = (0..n_cores)
+        .map(|_| core(r))
+        .collect::<DecodeResult<Vec<C>>>()?;
+    let missing_core = |index: u32| usize::try_from(index).map_or(true, |i| i >= cores.len());
+    if leaves
+        .iter()
+        .any(|leaf| matches!(*leaf, Leaf::Core(index) if missing_core(index)))
+    {
+        return Err(DecodeError::new("hybrid leaf references a missing core"));
+    }
+    for var in crown.support() {
+        if !matches!(
+            leaves.get(var.index()),
+            Some(Leaf::Basic(_) | Leaf::Core(_))
+        ) {
+            return Err(DecodeError::new("crown BDD references an unused leaf"));
+        }
+    }
+    Ok(Hybrid {
+        crown,
+        leaves,
+        cores,
+        modules,
+    })
+}
+
+/// Rejects a parameter slot outside the decoded table: `RateForm::eval` and
+/// the slot projections index valuations unchecked at instantiation time, so
+/// an out-of-range slot in a corrupted entry must die here.
+fn check_slot(slot: u32, params: &ParamTable, what: &str) -> DecodeResult<u32> {
+    match usize::try_from(slot) {
+        Ok(index) if index < params.len() => Ok(slot),
+        _ => Err(DecodeError::new(format!(
+            "{what} references slot {slot} but the table has {} slots",
+            params.len()
+        ))),
+    }
+}
+
+/// The one check both decoders apply to a decoded core.
+fn deterministic_core<S: Session>(core: S) -> DecodeResult<S> {
+    if core.is_nondeterministic() {
+        return Err(DecodeError::new(
+            "hybrid cores must be deterministic compositional sessions",
+        ));
+    }
+    Ok(core)
+}
+
+impl Persist for Analyzer {
+    const KIND: Kind = Kind::Session;
+
+    fn encode_body(&self, w: &mut Writer) {
+        encode_header(&self.header, true, w);
+        match &self.backend {
+            Backend::Compositional {
+                closed,
+                top_failure,
+                has_repair,
+                point_valued,
+                upper,
+                lower,
+                tangible: _, // derived lazily and deterministically from `closed`
+            } => {
+                w.u8(0);
+                w.str(top_failure.name());
+                w.bool(*has_repair);
+                w.bool(*point_valued);
+                codec::encode_model(closed, w);
+                encode_ctmdp(upper, w);
+                encode_ctmdp(lower, w);
+            }
+            Backend::Monolithic { ctmc, goal } => {
+                w.u8(1);
+                w.len_prefix(ctmc.num_states());
+                w.len_prefix(ctmc.initial());
+                let transitions = ctmc.transitions();
+                w.len_prefix(transitions.len());
+                for (from, to, rate) in transitions {
+                    w.u32(from);
+                    w.u32(to);
+                    w.f64(rate);
+                }
+                encode_bools(goal, w);
+            }
+            Backend::Hybrid(hybrid) => {
+                w.u8(2);
+                encode_hybrid(
+                    hybrid,
+                    w,
+                    |rate, w| w.f64(rate),
+                    |core, w| core.encode_body(w),
+                );
+            }
+        }
+    }
+
+    fn decode_body(r: &mut Reader<'_>, core: bool) -> DecodeResult<Analyzer> {
+        let header = decode_header(r, true, core)?;
+        let backend = match (r.u8()?, header.options.method) {
+            // Tag 0 under `Method::Hybrid` is a hybrid session that fell back
+            // to the compositional pipeline (repairable tree or
+            // non-deterministic core): same body, different label.
+            (0, Method::Compositional | Method::Hybrid) => {
+                let top_failure = Action::new(&r.str()?);
+                let has_repair = r.bool()?;
+                let point_valued = r.bool()?;
+                let closed = codec::decode_model::<f64>(r)?;
+                let upper = decode_ctmdp(r)?;
+                let lower = decode_ctmdp(r)?;
+                if upper.num_states() != closed.num_states()
+                    || lower.num_states() != closed.num_states()
+                {
+                    return Err(DecodeError::new(
+                        "CTMDP state counts disagree with the closed model",
+                    ));
+                }
+                Backend::Compositional {
+                    closed,
+                    top_failure,
+                    has_repair,
+                    point_valued,
+                    upper,
+                    lower,
+                    tangible: OnceLock::new(),
+                }
+            }
+            (1, Method::Monolithic) => {
+                let num_states = r.len_prefix(0)?;
+                let initial = r.len_prefix(0)?;
+                let n = r.len_prefix(16)?;
+                let mut transitions = Vec::with_capacity(n);
+                for _ in 0..n {
+                    transitions.push((r.u32()?, r.u32()?, r.f64()?));
+                }
+                let ctmc = Ctmc::from_transitions(num_states, initial, &transitions)
+                    .map_err(|e| DecodeError::new(format!("decoded CTMC is invalid: {e}")))?;
+                let goal = decode_bools(r)?;
+                if goal.len() != num_states {
+                    return Err(DecodeError::new("goal vector length mismatch"));
+                }
+                Backend::Monolithic { ctmc, goal }
+            }
+            (2, Method::Hybrid) => Backend::Hybrid(decode_hybrid(
+                r,
+                header.repairable,
+                |r| {
+                    let rate = r.f64()?;
+                    if !rate.is_finite() || rate <= 0.0 {
+                        return Err(DecodeError::new("crown basic-event rate out of range"));
+                    }
+                    Ok(rate)
+                },
+                |r| deterministic_core(Analyzer::decode_body(r, true)?),
+            )?),
+            (tag, method) => {
+                return Err(DecodeError::new(format!(
+                    "backend tag {tag} disagrees with method {method:?}"
+                )))
+            }
+        };
+        Ok(Analyzer { header, backend })
+    }
+}
+
+/// Compositional-method parametric payloads keep the exact format-1 byte
+/// layout; under [`Method::Hybrid`] a backend tag follows the header
+/// (0 = compositional fallback, 2 = genuine hybrid).
+impl Persist for ParametricAnalyzer {
+    const KIND: Kind = Kind::Parametric;
+
+    fn encode_body(&self, w: &mut Writer) {
+        encode_header(&self.header, false, w);
+        match &self.backend {
+            ParametricBackend::Compositional {
+                model,
+                sweep_template: _, // derived lazily and deterministically
+            } => {
+                if self.header.options.method == Method::Hybrid {
+                    w.u8(0);
+                }
+                w.str(model.top_failure.name());
+                w.bool(model.has_repair);
+                w.bool(model.point_valued);
+                encode_params(&self.params, w);
+                codec::encode_model(&model.closed, w);
+                encode_bools(&model.can, w);
+                encode_bools(&model.must, w);
+            }
+            ParametricBackend::Hybrid(hybrid) => {
+                w.u8(2);
+                encode_params(&self.params, w);
+                encode_hybrid(
+                    hybrid,
+                    w,
+                    |slot, w| w.u32(slot),
+                    |core, w| {
+                        w.len_prefix(core.slots.len());
+                        for &slot in &core.slots {
+                            w.u32(slot);
+                        }
+                        core.analyzer.encode_body(w);
+                    },
+                );
+            }
+        }
+    }
+
+    fn decode_body(r: &mut Reader<'_>, core: bool) -> DecodeResult<ParametricAnalyzer> {
+        let header = decode_header(r, false, core)?;
+        let method = header.options.method;
+        if method == Method::Monolithic {
+            return Err(DecodeError::new("parametric sessions are never monolithic"));
+        }
+        let tag = if method == Method::Hybrid { r.u8()? } else { 0 };
+        let (params, backend) = match tag {
+            0 => {
+                let top_failure = Action::new(&r.str()?);
+                let has_repair = r.bool()?;
+                let point_valued = r.bool()?;
+                let params = decode_params(r)?;
+                let closed = codec::decode_model::<ioimc::RateForm>(r)?;
+                for t in closed.markovian() {
+                    if let Some(max_slot) = t.rate.max_slot() {
+                        check_slot(max_slot, &params, "a rate form")?;
+                    }
+                }
+                let can = decode_bools(r)?;
+                let must = decode_bools(r)?;
+                if can.len() != closed.num_states() || must.len() != closed.num_states() {
+                    return Err(DecodeError::new(
+                        "goal-set lengths disagree with the closed model",
+                    ));
+                }
+                let backend = ParametricBackend::Compositional {
+                    model: ClosedModel {
+                        closed,
+                        top_failure,
+                        has_repair,
+                        can,
+                        must,
+                        point_valued,
+                    },
+                    sweep_template: OnceLock::new(),
+                };
+                (params, backend)
+            }
+            2 => {
+                let params = decode_params(r)?;
+                let hybrid = decode_hybrid(
+                    r,
+                    header.repairable,
+                    |r| check_slot(r.u32()?, &params, "a crown leaf"),
+                    |r| {
+                        let n_slots = r.len_prefix(4)?;
+                        let slots = (0..n_slots)
+                            .map(|_| check_slot(r.u32()?, &params, "a core projection"))
+                            .collect::<DecodeResult<Vec<u32>>>()?;
+                        let analyzer = deterministic_core(Self::decode_body(r, true)?)?;
+                        if slots.len() != analyzer.params.len() {
+                            return Err(DecodeError::new(
+                                "core projection length disagrees with the core's parameter table",
+                            ));
+                        }
+                        Ok(ParametricCore { analyzer, slots })
+                    },
+                )?;
+                (params, ParametricBackend::Hybrid(hybrid))
+            }
+            tag => {
+                return Err(DecodeError::new(format!(
+                    "unknown parametric backend tag {tag}"
+                )))
+            }
+        };
+        Ok(ParametricAnalyzer {
+            header,
+            params,
+            backend,
+        })
+    }
+}
+
+/// The [`ParamTable`] codec of the parametric payload layouts.
+fn encode_params(params: &ParamTable, w: &mut Writer) {
+    w.len_prefix(params.len());
+    for slot in params.slots() {
+        w.str(&slot.element);
+        w.u8(match slot.kind {
+            ParamKind::Failure => 0,
+            ParamKind::Repair => 1,
+        });
+        w.f64(slot.base);
+    }
+}
+
+fn decode_params(r: &mut Reader<'_>) -> DecodeResult<ParamTable> {
+    let num_slots = r.len_prefix(10)?;
+    let mut params = ParamTable::default();
+    for _ in 0..num_slots {
+        let element = r.str()?;
+        let kind = match r.u8()? {
+            0 => ParamKind::Failure,
+            1 => ParamKind::Repair,
+            other => {
+                return Err(DecodeError::new(format!(
+                    "invalid parameter kind tag {other}"
+                )))
+            }
+        };
+        let base = r.f64()?;
+        params.push(&element, kind, base);
+    }
+    Ok(params)
 }
 
 // ---------------------------------------------------------------------------
@@ -500,19 +988,7 @@ impl ModelStore {
     /// foreign entries are rejected (counted in [`StoreStats::rejected`]) and
     /// reported as a miss — the caller rebuilds and overwrites.
     pub fn load_analyzer(&self, fingerprint: u64, options: &AnalysisOptions) -> Option<Analyzer> {
-        let eps_bits = options.epsilon.to_bits();
-        let path = self.entry_path(Kind::Session, options.method, fingerprint, eps_bits);
-        // The frame carries fingerprint and ε; the method is encoded in the
-        // payload (and the file name), so verify it survived the round trip.
-        // The check lives inside the decode step so a mismatch counts as one
-        // rejection, like every other refusal — never as a hit.
-        self.load_entry(&path, Kind::Session, fingerprint, eps_bits, |payload| {
-            let decoded = Analyzer::decode_payload(payload)?;
-            if decoded.method() != options.method {
-                return Err(DecodeError::new("entry method disagrees with the request"));
-            }
-            Ok(decoded)
-        })
+        self.load(fingerprint, options)
     }
 
     /// Writes the entry for `fingerprint` ([`Dft::fingerprint`](dft::Dft::fingerprint)),
@@ -523,15 +999,7 @@ impl ModelStore {
     /// Returns [`Error::Store`] when serialization cannot be persisted (I/O
     /// failure); the failure is also counted in [`StoreStats::write_errors`].
     pub fn save_analyzer(&self, fingerprint: u64, analyzer: &Analyzer) -> Result<()> {
-        let eps_bits = analyzer.options().epsilon.to_bits();
-        let path = self.entry_path(Kind::Session, analyzer.method(), fingerprint, eps_bits);
-        let framed = seal(
-            Kind::Session,
-            fingerprint,
-            eps_bits,
-            &analyzer.encode_payload(),
-        );
-        self.write_atomic(&path, &framed)
+        self.save(fingerprint, analyzer)
     }
 
     /// Loads the parametric closed model cached for `structural_fingerprint`
@@ -543,26 +1011,7 @@ impl ModelStore {
         structural_fingerprint: u64,
         options: &AnalysisOptions,
     ) -> Option<ParametricAnalyzer> {
-        let eps_bits = options.epsilon.to_bits();
-        let path = self.entry_path(
-            Kind::Parametric,
-            options.method,
-            structural_fingerprint,
-            eps_bits,
-        );
-        self.load_entry(
-            &path,
-            Kind::Parametric,
-            structural_fingerprint,
-            eps_bits,
-            |payload| {
-                let decoded = ParametricAnalyzer::decode_payload(payload)?;
-                if decoded.options().method != options.method {
-                    return Err(DecodeError::new("entry method disagrees with the request"));
-                }
-                Ok(decoded)
-            },
-        )
+        self.load(structural_fingerprint, options)
     }
 
     /// Writes the parametric entry for `structural_fingerprint`, atomically
@@ -576,31 +1025,18 @@ impl ModelStore {
         structural_fingerprint: u64,
         parametric: &ParametricAnalyzer,
     ) -> Result<()> {
-        let eps_bits = parametric.options().epsilon.to_bits();
-        let path = self.entry_path(
-            Kind::Parametric,
-            parametric.options().method,
-            structural_fingerprint,
-            eps_bits,
-        );
-        let framed = seal(
-            Kind::Parametric,
-            structural_fingerprint,
-            eps_bits,
-            &parametric.encode_payload(),
-        );
-        self.write_atomic(&path, &framed)
+        self.save(structural_fingerprint, parametric)
     }
 
-    /// Shared load path: read, unseal, decode; count the outcome.
-    fn load_entry<T>(
+    /// The one load path of both session types: read, unseal, decode; count
+    /// the outcome.
+    pub(crate) fn load<S: Persist>(
         &self,
-        path: &Path,
-        kind: Kind,
         fingerprint: u64,
-        eps_bits: u64,
-        decode: impl FnOnce(&[u8]) -> DecodeResult<T>,
-    ) -> Option<T> {
+        options: &AnalysisOptions,
+    ) -> Option<S> {
+        let eps_bits = options.epsilon.to_bits();
+        let path = self.entry_path(S::KIND, options.method, fingerprint, eps_bits);
         let bytes = match std::fs::read(path) {
             Ok(bytes) => bytes,
             Err(_) => {
@@ -612,16 +1048,39 @@ impl ModelStore {
         // xlint: allow(cast) -- usize to u64 widening is lossless on every supported target
         let read = bytes.len() as u64;
         self.read_bytes.fetch_add(read, Ordering::Relaxed);
-        match unseal(&bytes, kind, Some((fingerprint, eps_bits))).and_then(decode) {
-            Ok(value) => {
+        // The frame carries fingerprint and ε; the method is encoded in the
+        // payload (and the file name), so verify it survived the round trip.
+        // The check lives inside the decode step so a mismatch counts as one
+        // rejection, like every other refusal — never as a hit.
+        let decoded = unseal(&bytes, S::KIND, Some((fingerprint, eps_bits)))
+            .and_then(decode_payload::<S>)
+            .and_then(|session| {
+                if session.header().options.method == options.method {
+                    Ok(session)
+                } else {
+                    Err(DecodeError::new("entry method disagrees with the request"))
+                }
+            });
+        match decoded {
+            Ok(session) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(value)
+                Some(session)
             }
             Err(_) => {
                 self.reject_one();
                 None
             }
         }
+    }
+
+    /// The one save path of both session types: frame the session with its
+    /// real fingerprint and publish it atomically.
+    pub(crate) fn save<S: Persist>(&self, fingerprint: u64, session: &S) -> Result<()> {
+        let options = &session.header().options;
+        let eps_bits = options.epsilon.to_bits();
+        let path = self.entry_path(S::KIND, options.method, fingerprint, eps_bits);
+        let framed = seal(S::KIND, fingerprint, eps_bits, &encode_payload(session));
+        self.write_atomic(&path, &framed)
     }
 
     /// Counts one rejection (an entry that existed but was refused).
@@ -707,5 +1166,59 @@ mod tests {
         let mut foreign = framed;
         foreign[0] = b'X';
         assert!(unseal(&foreign, Kind::Parametric, None).is_err());
+    }
+
+    /// Decodes a crafted entry that nests the hybrid level of `session`
+    /// 20 000 times above the body of its single `core` — hybrid cores that
+    /// are hybrid sessions again, built with the real encoders — on a thread
+    /// with the 2 MiB default stack of a spawned thread, service workers
+    /// included.  Unbounded recursion would abort the whole process here.
+    fn decode_nested<S: Persist + 'static>(session: &S, core: &[u8]) -> Option<Error> {
+        let body = encode_payload(session);
+        let level = &body[..body.len() - core.len()];
+        let frame = |depth| {
+            let mut nested = level.repeat(depth);
+            nested.extend_from_slice(core);
+            seal(
+                S::KIND,
+                0,
+                session.header().options.epsilon.to_bits(),
+                &nested,
+            )
+        };
+        // One level is the genuine session, so the construction is sound.
+        assert!(from_bytes::<S>(&frame(1)).is_ok());
+        let deep = frame(20_000);
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || from_bytes::<S>(&deep).err())
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn nested_hybrid_cores_fail_typed_instead_of_overflowing_the_stack() {
+        let dft = crate::engine::tests::mixed_tree("st");
+        let options = AnalysisOptions {
+            method: Method::Hybrid,
+            ..AnalysisOptions::default()
+        };
+        let numeric = Analyzer::new(&dft, options.clone()).unwrap();
+        let Backend::Hybrid(hybrid) = &numeric.backend else {
+            panic!("the mixed tree decomposes")
+        };
+        let numeric = decode_nested(&numeric, &encode_payload(&hybrid.cores[0]));
+        let parametric = ParametricAnalyzer::new(&dft, options).unwrap();
+        let ParametricBackend::Hybrid(hybrid) = &parametric.backend else {
+            panic!("the mixed tree decomposes")
+        };
+        let parametric = decode_nested(&parametric, &encode_payload(&hybrid.cores[0].analyzer));
+        for error in [numeric, parametric] {
+            assert!(
+                matches!(&error, Some(Error::Store { message }) if message.contains("compositional")),
+                "{error:?}"
+            );
+        }
     }
 }

@@ -14,7 +14,7 @@
 //! element) versus the purely static *crown* above them, which a [`crate::bdd`]
 //! diagram solves combinatorially.
 
-use crate::element::{Element, ElementId, GateKind};
+use crate::element::{Element, ElementId};
 use crate::tree::Dft;
 use std::collections::{BTreeSet, HashMap};
 
@@ -81,49 +81,6 @@ pub fn independent_modules(dft: &Dft) -> Vec<ModuleInfo> {
         }
     }
     out
-}
-
-/// Returns the independent modules that the DIFTree methodology can actually solve
-/// separately: modules whose *parent gates are all static* (an independent module
-/// below a dynamic gate cannot be replaced by a constant-probability basic event,
-/// cf. Section 2 of the paper).
-///
-/// This is the *classification* the hybrid backend's exactness boundary is
-/// built on: [`hybrid_plan`] keeps everything below a dynamic gate in the
-/// state-space cores, precisely because such modules are not in this list.
-///
-/// # Examples
-///
-/// An AND module below a PAND gate is independent, yet not DIFTree-solvable:
-///
-/// ```
-/// use dft::modules::{diftree_solvable_modules, independent_modules};
-/// use dft::{DftBuilder, Dormancy};
-/// # fn main() -> Result<(), dft::Error> {
-/// let mut b = DftBuilder::new();
-/// let x = b.basic_event("X", 1.0, Dormancy::Hot)?;
-/// let y = b.basic_event("Y", 1.0, Dormancy::Hot)?;
-/// let a = b.and_gate("A", &[x, y])?;
-/// let z = b.basic_event("Z", 1.0, Dormancy::Hot)?;
-/// let top = b.pand_gate("Top", &[a, z])?;
-/// let dft = b.build(top)?;
-/// assert!(independent_modules(&dft).iter().any(|m| m.root == a));
-/// assert!(!diftree_solvable_modules(&dft).iter().any(|m| m.root == a));
-/// # Ok(())
-/// # }
-/// ```
-pub fn diftree_solvable_modules(dft: &Dft) -> Vec<ModuleInfo> {
-    independent_modules(dft)
-        .into_iter()
-        .filter(|m| {
-            dft.parents(m.root).iter().all(|&p| {
-                matches!(
-                    dft.element(p).as_gate().map(|g| g.kind),
-                    Some(GateKind::And) | Some(GateKind::Or) | Some(GateKind::Voting { .. })
-                )
-            })
-        })
-        .collect()
 }
 
 /// Statistics of a hybrid static/dynamic decomposition: how much of the tree
@@ -198,6 +155,11 @@ pub struct HybridPlan {
 /// those exits until a single exit remains (in the worst case, the top, which
 /// makes the plan degenerate but never wrong).  Dynamic regions that the top
 /// does not observe at all produce no core.
+///
+/// Static modules underneath a dynamic gate therefore stay in their core: they
+/// are independent, but a dynamic parent observes the order and timing of
+/// their failure, so they cannot be replaced by a constant-probability event
+/// (the limit of DIFTree modularisation, Section 2 of the paper).
 ///
 /// # Examples
 ///
@@ -395,16 +357,6 @@ mod tests {
         assert!(!mod_a.dynamic);
         let top = modules.iter().find(|m| dft.name(m.root) == "Top").unwrap();
         assert!(top.dynamic);
-    }
-
-    #[test]
-    fn diftree_cannot_solve_modules_under_dynamic_gates() {
-        let dft = cascaded();
-        let solvable = diftree_solvable_modules(&dft);
-        // Only the top module itself (no parents) qualifies; the AND modules are
-        // below a PAND gate.
-        let roots: Vec<&str> = solvable.iter().map(|m| dft.name(m.root)).collect();
-        assert_eq!(roots, vec!["Top"]);
     }
 
     #[test]

@@ -551,3 +551,52 @@ fn store_errors_are_typed_and_scoped_to_the_explicit_api() {
         other => panic!("expected Error::Store, got {other:?}"),
     }
 }
+
+/// FNV-1a-64, the hash the golden store-format table below is pinned with.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pins the on-disk format byte for byte: the FNV-1a-64 hash and length of
+/// `to_bytes()` for every session flavour on both case studies (default
+/// options plus the method).  A refactor of the session codec must leave
+/// every row unchanged; an intended format change bumps
+/// `store::FORMAT_VERSION` and this table together.
+#[test]
+fn store_payloads_are_byte_identical_to_the_pinned_format() {
+    use dftmc::dft_core::analysis::Method::{Compositional as C, Hybrid as H, Monolithic as M};
+    // (tree, method, parametric, hash, length)
+    let golden = [
+        ("CAS", C, false, 0x3fb6_0ad7_f7b0_8910u64, 54_953usize),
+        ("CAS", C, true, 0xec3a_ef2d_585e_2cf9, 145_240),
+        ("CAS", M, false, 0x2042_d673_14d6_061f, 8_792),
+        // CAS hybrid falls back to the compositional pipeline.
+        ("CAS", H, false, 0xe194_921a_0e2c_c9f3, 54_953),
+        ("CAS", H, true, 0x4877_2fc4_0cac_37d0, 145_241),
+        ("CPS", C, false, 0x727a_3b61_7736_9827, 8_861),
+        ("CPS", C, true, 0x55a9_9daf_a6e2_e646, 733_819),
+        ("CPS", M, false, 0xad5f_7fd4_8596_f6a4, 397_974),
+        // CPS hybrid is a genuine decomposition.
+        ("CPS", H, false, 0xd66e_fca8_ab8a_cd53, 12_703),
+        ("CPS", H, true, 0xb2f7_e996_4955_5e9d, 737_964),
+    ];
+    for (tree, method, parametric, hash, len) in golden {
+        let dft = if tree == "CAS" { cas() } else { cps() };
+        let options = AnalysisOptions {
+            method,
+            ..AnalysisOptions::default()
+        };
+        let bytes = if parametric {
+            ParametricAnalyzer::new(&dft, options).unwrap().to_bytes()
+        } else {
+            Analyzer::new(&dft, options).unwrap().to_bytes()
+        };
+        assert_eq!(
+            (fnv1a64(&bytes), bytes.len()),
+            (hash, len),
+            "{tree} {method:?} parametric={parametric}: store bytes drifted"
+        );
+    }
+}
