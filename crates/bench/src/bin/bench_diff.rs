@@ -8,7 +8,7 @@
 //!
 //! Run with
 //! `cargo run --release -p dftmc-bench --bin bench_diff -- [baseline_dir] [name...]`
-//! after the experiment bins; the default baseline dir is `BENCH_baseline` and
+//! after `experiment all --smoke`; the default baseline dir is `BENCH_baseline` and
 //! the default name set is everything the baseline dir contains.
 //!
 //! `bench_diff -- --validate FILE...` instead only checks that each file is
@@ -18,7 +18,7 @@
 
 #![forbid(unsafe_code)]
 
-use dftmc_bench::json::{self, Json};
+use dft::json::{self, Json};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -145,7 +145,7 @@ fn smoke_flag(record: &Json) -> Option<bool> {
 
 /// `--validate FILE...`: each file must exist, be non-empty and parse as
 /// JSON.  No baseline comparison — this is the machine-readability gate the
-/// experiment bins' records pass through in CI.
+/// experiment records pass through in CI.
 fn validate(files: &[String]) -> ExitCode {
     if files.is_empty() {
         eprintln!("--validate needs at least one file");

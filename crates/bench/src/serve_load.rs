@@ -11,68 +11,30 @@
 //! `f64` survives the JSON round trip exactly because both sides use
 //! Rust's shortest-round-trip formatting.
 
+use crate::runner::Config;
+use crate::{percentile, ratio};
+use dft::json::Json;
 use dft_core::analysis::AnalysisOptions;
 use dft_core::engine::Analyzer;
 use dft_core::Result;
 use dftmc_serve::client;
-use dftmc_serve::json::Json;
 use dftmc_serve::server::{Server, ServerOptions};
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-/// Results of the serve loadgen experiment.
-#[derive(Debug, Clone)]
-pub struct ServeExperiment {
-    /// Total jobs submitted over HTTP (`clients` × `jobs_per_client`).
-    pub jobs: usize,
-    /// Concurrent client threads.
-    pub clients: usize,
-    /// Structurally distinct trees cycled through the submissions.
-    pub distinct_trees: usize,
-    /// Wall-clock from first submission to last fetched result.
-    pub wall: Duration,
-    /// `jobs / wall` in jobs per second.
-    pub throughput: f64,
-    /// Median submit→result latency (includes polling).
-    pub latency_p50: Duration,
-    /// 99th-percentile submit→result latency.
-    pub latency_p99: Duration,
-    /// Aggregation runs reported by `/metrics` — must equal
-    /// `distinct_trees`: every duplicate submission is a cache hit.
-    pub aggregation_runs: u64,
-    /// HTTP requests the server answered (submissions + polls + metrics).
-    pub http_requests: u64,
-    /// Submissions refused with `429` (0 when `max_jobs` ≥ `jobs`).
-    pub throttled: u64,
-    /// Connections refused with `503` at accept time.
-    pub rejected_connections: u64,
-    /// States of the closed model of the first tree (deterministic;
-    /// trend-gated in `BENCH_serve.json`).
-    pub model_states: usize,
-    /// `true` when every value fetched over HTTP was bit-identical to the
-    /// in-process [`Analyzer`] reference.
-    pub bit_identical: bool,
-}
-
 /// The unreliability value inside a `/result/{id}` document:
 /// `results[0].points[0].value`.
 fn result_value(doc: &Json) -> Option<f64> {
-    let field = |doc: &Json, key: &str| match doc {
-        Json::Obj(entries) => entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone()),
-        _ => None,
-    };
-    let first = |value: &Json| match value {
-        Json::Arr(items) => items.first().cloned(),
-        _ => None,
-    };
-    let measure = first(&field(doc, "results")?)?;
-    let point = first(&field(&measure, "points")?)?;
-    match field(&point, "value")? {
-        Json::Num(n) => Some(n),
+    fn first(value: Option<&Json>) -> Option<&Json> {
+        match value? {
+            Json::Arr(items) => items.first(),
+            _ => None,
+        }
+    }
+    let point = first(first(doc.get("results"))?.get("points"))?;
+    match point.get("value")? {
+        Json::Num(n) => Some(*n),
         _ => None,
     }
 }
@@ -99,14 +61,7 @@ fn run_client(
         let submitted = Instant::now();
         let (status, doc) = client::request(addr, "POST", "/submit", body)?;
         assert_eq!(status, 202, "submission refused: {}", doc.render());
-        let Json::Num(id) = (match &doc {
-            Json::Obj(entries) => entries
-                .iter()
-                .find(|(k, _)| k == "id")
-                .map(|(_, v)| v.clone())
-                .unwrap_or(Json::Null),
-            _ => Json::Null,
-        }) else {
+        let Some(Json::Num(id)) = doc.get("id") else {
             panic!("submission reply carries no id: {}", doc.render());
         };
         let path = format!("/result/{id}");
@@ -124,27 +79,21 @@ fn run_client(
     Ok((latencies, bit_identical))
 }
 
-/// Runs the loadgen: `clients` threads each submitting `jobs_per_client`
-/// jobs over `distinct` rate-scaled CAS variants against a freshly started
-/// in-process server, then scrapes `/metrics`, shuts the server down
-/// gracefully and reports.
-///
-/// # Errors
-///
-/// Propagates analysis errors from the in-process reference.
+/// E13: the HTTP front end under load.  `clients` threads each submit
+/// `jobs_per_client` jobs over `distinct` rate-scaled CAS variants to a
+/// freshly started in-process server, poll each result to completion, then
+/// scrape `/metrics` and shut the server down gracefully.  Every value
+/// fetched over HTTP must be bit-identical to the in-process reference, and
+/// every duplicate submission a cache hit (one aggregation per distinct
+/// tree).
 ///
 /// # Panics
 ///
 /// Panics when the server cannot start, a client socket fails, or the
 /// server refuses a request the configuration says it must accept.
-pub fn run_serve_experiment(
-    distinct: usize,
-    clients: usize,
-    jobs_per_client: usize,
-) -> Result<ServeExperiment> {
-    let variants: Vec<dft::Dft> = (0..distinct)
-        .map(|i| dft_core::casestudies::cas_scaled(1.0 + 0.05 * i as f64))
-        .collect();
+pub(crate) fn serve_experiment(config: &Config) -> Result<Json> {
+    let (distinct, clients, jobs_per_client) = if config.smoke { (2, 3, 3) } else { (4, 8, 8) };
+    let variants = crate::cas_variants(distinct);
     let reference: Vec<f64> = variants
         .iter()
         .map(|dft| {
@@ -198,18 +147,9 @@ pub fn run_serve_experiment(
 
     let (status, metrics) = client::request(addr, "GET", "/metrics", "").expect("metrics scrape");
     assert_eq!(status, 200);
-    let section = |key: &str, sub: &str| -> u64 {
-        let field = |doc: &Json, key: &str| match doc {
-            Json::Obj(entries) => entries
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.clone()),
-            _ => None,
-        };
-        match field(&metrics, key).and_then(|doc| field(&doc, sub)) {
-            Some(Json::Num(n)) => n as u64,
-            _ => panic!("/metrics lacks {key}.{sub}: {}", metrics.render()),
-        }
+    let section = |key: &str, sub: &str| match metrics.get(key).and_then(|doc| doc.get(sub)) {
+        Some(Json::Num(n)) => *n as usize,
+        _ => panic!("/metrics lacks {key}.{sub}: {}", metrics.render()),
     };
     let aggregation_runs = section("jobs", "aggregation_runs");
     let http_requests = section("http", "requests");
@@ -234,36 +174,39 @@ pub fn run_serve_experiment(
     latencies.sort();
     let jobs = latencies.len();
     assert_eq!(jobs, clients * jobs_per_client, "every job must complete");
-    let percentile = |p: usize| latencies[(jobs - 1) * p / 100];
-
-    Ok(ServeExperiment {
-        jobs,
-        clients,
-        distinct_trees: distinct,
-        wall,
-        throughput: jobs as f64 / wall.as_secs_f64().max(f64::MIN_POSITIVE),
-        latency_p50: percentile(50),
-        latency_p99: percentile(99),
-        aggregation_runs,
-        http_requests,
-        throttled,
-        rejected_connections,
-        model_states,
+    assert!(
         bit_identical,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn loadgen_round_trips_and_stays_bit_identical() {
-        let e = run_serve_experiment(2, 2, 2).unwrap();
-        assert_eq!(e.jobs, 4);
-        assert_eq!(e.aggregation_runs, 2, "one aggregation per distinct tree");
-        assert_eq!(e.throttled, 0);
-        assert!(e.bit_identical, "HTTP values diverged from the Analyzer");
-        assert!(e.http_requests >= 4, "at least one request per job");
-    }
+        "values fetched over HTTP diverged from the in-process Analyzer"
+    );
+    assert_eq!(
+        aggregation_runs, distinct,
+        "every duplicate submission must be a cache hit"
+    );
+    Ok(Json::obj([
+        ("jobs", jobs.into()),
+        ("clients", clients.into()),
+        ("distinct_trees", distinct.into()),
+        ("wall_seconds", Json::secs(wall)),
+        (
+            "throughput_jobs_per_second",
+            ratio(jobs as f64, wall.as_secs_f64()).into(),
+        ),
+        (
+            "latency_p50_seconds",
+            Json::secs(percentile(&latencies, 50)),
+        ),
+        (
+            "latency_p99_seconds",
+            Json::secs(percentile(&latencies, 99)),
+        ),
+        ("aggregation_runs", aggregation_runs.into()),
+        ("http_requests", http_requests.into()),
+        ("throttled", throttled.into()),
+        (
+            "rejected_connections",
+            (rejected_connections as usize).into(),
+        ),
+        ("model_states", model_states.into()),
+        ("bit_identical", bit_identical.into()),
+    ]))
 }

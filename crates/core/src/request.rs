@@ -489,7 +489,7 @@ impl AnalysisRequest {
     /// A typed [`RequestError`] naming the first violated rule; caps are
     /// enforced before any expensive work.
     pub fn from_json(doc: &Json) -> std::result::Result<AnalysisRequest, RequestError> {
-        let dft = match (field(doc, "galileo"), field(doc, "tree")) {
+        let dft = match (doc.get("galileo"), doc.get("tree")) {
             (Some(Json::Str(text)), _) => {
                 dft::galileo::parse(text).map_err(|e| RequestError::Tree {
                     message: format!("invalid Galileo tree: {e}"),
@@ -512,7 +512,7 @@ impl AnalysisRequest {
         };
 
         let mut request = AnalysisRequest::new(dft);
-        match field(doc, "method") {
+        match doc.get("method") {
             None => {}
             Some(Json::Str(s)) => request.options.method = s.parse::<MethodSpec>()?.0,
             Some(_) => {
@@ -521,14 +521,14 @@ impl AnalysisRequest {
                 ))
             }
         }
-        match field(doc, "epsilon") {
+        match doc.get("epsilon") {
             None => {}
             Some(Json::Num(e)) if e.is_finite() && *e > 0.0 => request.options.epsilon = *e,
             Some(_) => return Err(schema("field 'epsilon' must be a positive finite number")),
         }
 
-        let measures = field(doc, "measures");
-        let queries = field(doc, "queries");
+        let measures = doc.get("measures");
+        let queries = doc.get("queries");
         if measures.is_none() && queries.is_none() {
             return Err(schema("missing array field 'measures'"));
         }
@@ -566,7 +566,7 @@ impl AnalysisRequest {
             }
         }
 
-        if let Some(spec) = field(doc, "sweep") {
+        if let Some(spec) = doc.get("sweep") {
             if request.sweep.is_some() {
                 return Err(schema(
                     "the request carries both a 'sweep' object and a sweep query",
@@ -578,22 +578,15 @@ impl AnalysisRequest {
     }
 }
 
-fn field<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
-    match doc {
-        Json::Obj(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
 fn str_field<'a>(doc: &'a Json, key: &str) -> Option<&'a str> {
-    match field(doc, key) {
+    match doc.get(key) {
         Some(Json::Str(s)) => Some(s),
         _ => None,
     }
 }
 
 fn num_field(doc: &Json, key: &str) -> Option<f64> {
-    match field(doc, key) {
+    match doc.get(key) {
         Some(Json::Num(n)) => Some(*n),
         _ => None,
     }
@@ -606,7 +599,7 @@ fn num_array(
     what: &'static str,
     cap: usize,
 ) -> std::result::Result<Option<Vec<f64>>, RequestError> {
-    let Some(value) = field(doc, key) else {
+    let Some(value) = doc.get(key) else {
         return Ok(None);
     };
     let Json::Arr(items) = value else {

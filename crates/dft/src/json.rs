@@ -1,13 +1,12 @@
-//! A minimal JSON emitter for machine-readable benchmark records.
+//! A minimal, dependency-free JSON value type, renderer and parser.
 //!
-//! The container carries no external crates, so the experiment bins cannot use
-//! `serde`.  This module provides the small subset they need: build a [`Json`]
-//! tree, render it deterministically (object keys keep insertion order), and
-//! write it to a `BENCH_<name>.json` file next to the human-readable tables so
-//! the performance trajectory of the repo can be tracked run over run.
+//! The workspace carries no external crates, so it cannot use `serde`.  This
+//! module provides the small subset it needs: build a [`Json`] tree, render
+//! it deterministically (object keys keep insertion order) and [`parse`] it
+//! back.  The tree interchange format ([`crate::json_format`]), the HTTP
+//! front end and the `BENCH_*.json` benchmark records all build on it.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Duration;
 
 /// A JSON value.
@@ -36,6 +35,14 @@ impl Json {
                 .map(|(k, v)| (k.to_owned(), v))
                 .collect(),
         )
+    }
+
+    /// The value under `key`, when `self` is an object that has one.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
     }
 
     /// A duration, rendered as fractional seconds (the universal bench unit).
@@ -355,29 +362,6 @@ fn text_slice(bytes: &[u8], start: usize, end: usize) -> std::result::Result<&st
         .ok_or_else(|| format!("invalid UTF-8 near byte {start}"))
 }
 
-/// Writes `value` to `BENCH_<name>.json` in the current directory and returns
-/// the path.  The experiment bins call this after printing their human tables;
-/// a trailing newline keeps the files friendly to line-oriented tooling.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn emit(name: &str, value: &Json) -> std::io::Result<PathBuf> {
-    let path = PathBuf::from(format!("BENCH_{name}.json"));
-    std::fs::write(&path, value.render() + "\n")?;
-    Ok(path)
-}
-
-/// [`emit`], plus a one-line note on stdout saying where the record went; I/O
-/// failures are reported on stderr instead of aborting an otherwise successful
-/// experiment run.
-pub fn emit_and_announce(name: &str, value: &Json) {
-    match emit(name, value) {
-        Ok(path) => println!("\nmachine-readable record: {}", path.display()),
-        Err(e) => eprintln!("\nwarning: could not write BENCH_{name}.json: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,8 +414,17 @@ mod tests {
         ]);
         let parsed = parse(&doc.render()).unwrap();
         assert_eq!(parsed, doc);
-        // A trailing newline (as emit writes) is tolerated.
+        // A trailing newline (as the BENCH records end) is tolerated.
         assert_eq!(parse(&(doc.render() + "\n")).unwrap(), doc);
+    }
+
+    #[test]
+    fn get_looks_up_object_keys() {
+        let doc = Json::obj([("a", 1usize.into()), ("b", Json::Null)]);
+        assert_eq!(doc.get("a"), Some(&Json::Num(1.0)));
+        assert_eq!(doc.get("b"), Some(&Json::Null));
+        assert_eq!(doc.get("c"), None);
+        assert_eq!(Json::Arr(vec![doc]).get("a"), None);
     }
 
     #[test]

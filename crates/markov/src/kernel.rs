@@ -25,9 +25,9 @@
 //!   the work and their order is part of the determinism contract).
 //!
 //! The kernel is the production path of [`crate::Ctmdp`]'s reachability
-//! methods; the original nested-loop implementation is kept as
-//! [`crate::Ctmdp::reachability_extremal_multi_legacy`] and serves as the
-//! reference in differential tests.
+//! methods; the original nested-loop implementation is kept, in test builds
+//! only, as `Ctmdp::reachability_extremal_multi_legacy`, the oracle of the
+//! differential tests below.
 
 use crate::ctmdp::CtmdpState;
 use crate::poisson::{poisson_weights_multi, PoissonWeights};
@@ -673,8 +673,8 @@ mod tests {
         }
     }
 
-    /// A random small CTMDP: mixed Markovian/immediate states, some goals.
-    /// Kept tiny (n ≤ 32) so the whole module stays Miri-friendly.
+    /// A random CTMDP: mixed Markovian/immediate states, some goals.  Kept
+    /// tiny (n ≤ 32) wherever a test runs under Miri.
     fn random_ctmdp(seed: u64, n: usize) -> Ctmdp {
         let mut rng = Rng(seed | 1);
         let states = (0..n)
@@ -768,6 +768,29 @@ mod tests {
                 for (a, b) in legacy.iter().zip(&fast) {
                     assert_eq!(a.to_bits(), b.to_bits(), "seed {seed} max {maximise}");
                 }
+            }
+        }
+    }
+
+    /// The same differential check at the 600-state size of the kernel
+    /// benchmark's smoke model, too slow for the interpreter.
+    #[test]
+    #[cfg_attr(miri, ignore = "600-state value iteration is too slow under Miri")]
+    fn kernel_matches_legacy_bit_for_bit_at_benchmark_size() {
+        let times = [0.25, 0.5, 1.0, 2.0];
+        let mdp = random_ctmdp(0x0d51_2007, 600);
+        for maximise in [false, true] {
+            let legacy = mdp
+                .reachability_extremal_multi_legacy(&times, 1e-9, maximise)
+                .unwrap();
+            let fast = if maximise {
+                mdp.reachability_max_multi(&times, 1e-9).unwrap()
+            } else {
+                mdp.reachability_min_multi(&times, 1e-9).unwrap()
+            };
+            assert_eq!(legacy.len(), fast.len());
+            for (a, b) in legacy.iter().zip(&fast) {
+                assert_eq!(a.to_bits(), b.to_bits(), "max {maximise}");
             }
         }
     }

@@ -18,10 +18,10 @@
 
 #![forbid(unsafe_code)]
 
+use dft::json::Json;
 use dft_core::analysis::AnalysisOptions;
 use dft_core::engine::Analyzer;
 use dftmc_serve::client;
-use dftmc_serve::json::Json;
 use std::io::BufRead;
 use std::net::SocketAddr;
 use std::path::Path;
@@ -29,13 +29,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 fn field(doc: &Json, key: &str) -> Option<Json> {
-    match doc {
-        Json::Obj(entries) => entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone()),
-        _ => None,
-    }
+    doc.get(key).cloned()
 }
 
 fn num(doc: &Json, key: &str) -> f64 {

@@ -25,7 +25,7 @@
 //!
 //! # Trust boundary
 //!
-//! Everything that parses network bytes lives in [`http`], [`json`] and
+//! Everything that parses network bytes lives in [`http`], [`dft::json`] and
 //! [`router`], which are held to the workspace's decode bar (xlint rules
 //! `panic`/`index`/`cast`): total, typed-error, panic-free, and size-limited
 //! ([`http::HttpLimits`]).  Backpressure is explicit — a bounded connection
@@ -37,7 +37,6 @@
 
 pub mod client;
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod registry;
 pub mod router;

@@ -6,7 +6,7 @@
 //! depth, cache temperature and — crucially for a *shared* store directory —
 //! degradation signals like `store.write_errors` from outside the process.
 
-use crate::json::Json;
+use dft::json::Json;
 use dft_core::service::{CacheStats, HybridStats, QueueStats};
 use dft_core::StoreStats;
 use std::sync::atomic::{AtomicU64, Ordering};

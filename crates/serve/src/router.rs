@@ -60,9 +60,9 @@
 //! accepted job completes (and, with a store, persists) before exit.
 
 use crate::http::Request;
-use crate::json::{self, Json};
 use crate::metrics::{self, bump, json_count, HttpCounters};
 use crate::registry::{Lookup, Registry};
+use dft::json::{self, Json};
 use dft_core::service::{AnalysisService, RequestOutcome};
 use dft_core::{AnalysisRequest, JobReport, MeasureResult, RequestError, SweepReport};
 use std::time::Instant;
@@ -373,22 +373,15 @@ mod tests {
     use super::*;
     use dft_core::service::ServiceOptions;
 
-    fn field<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
-        match doc {
-            Json::Obj(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
     fn str_field<'a>(doc: &'a Json, key: &str) -> Option<&'a str> {
-        match field(doc, key) {
+        match doc.get(key) {
             Some(Json::Str(s)) => Some(s),
             _ => None,
         }
     }
 
     fn num_field(doc: &Json, key: &str) -> Option<f64> {
-        match field(doc, key) {
+        match doc.get(key) {
             Some(Json::Num(n)) => Some(*n),
             _ => None,
         }
@@ -544,7 +537,7 @@ mod tests {
         let reply = router.handle(&post("/sweep", &doc.render()));
         assert_eq!(reply.status, 202, "{}", reply.body);
         let done = wait_done(&router, 1);
-        let Some(Json::Arr(points)) = field(&done, "points") else {
+        let Some(Json::Arr(points)) = done.get("points") else {
             panic!("no points in {}", reply.body);
         };
         assert_eq!(points.len(), 3);
@@ -592,7 +585,7 @@ mod tests {
         let reply = router.handle(&post("/sweep", &doc.render()));
         assert_eq!(reply.status, 202, "{}", reply.body);
         let done = wait_done(&router, 1);
-        let Some(Json::Arr(points)) = field(&done, "points") else {
+        let Some(Json::Arr(points)) = done.get("points") else {
             panic!("no points in {}", reply.body);
         };
         assert_eq!(points.len(), 4);
@@ -601,13 +594,13 @@ mod tests {
     /// The value of the first point of the first result of a sweep result
     /// document.
     fn first_sweep_value(done: &Json) -> f64 {
-        let Some(Json::Arr(points)) = field(done, "points") else {
+        let Some(Json::Arr(points)) = done.get("points") else {
             panic!("no points in {}", done.render());
         };
-        let Some(Json::Arr(results)) = field(&points[0], "results") else {
+        let Some(Json::Arr(results)) = points[0].get("results") else {
             panic!("no results in {}", done.render());
         };
-        let Some(Json::Arr(values)) = field(&results[0], "points") else {
+        let Some(Json::Arr(values)) = results[0].get("points") else {
             panic!("no result points in {}", done.render());
         };
         num_field(&values[0], "value").expect("a numeric value")
@@ -658,8 +651,8 @@ mod tests {
         let metrics = router.handle(&get("/metrics"));
         assert_eq!(metrics.status, 200);
         let doc = json::parse(&metrics.body).unwrap();
-        assert!(field(&doc, "queue").is_some());
-        assert!(field(&doc, "cache").is_some());
+        assert!(doc.get("queue").is_some());
+        assert!(doc.get("cache").is_some());
 
         let shutdown = router.handle(&post("/shutdown", ""));
         assert_eq!(shutdown.status, 200);
@@ -699,7 +692,7 @@ mod tests {
         let metrics = router.handle(&get("/metrics"));
         assert_eq!(metrics.status, 200);
         let doc = json::parse(&metrics.body).unwrap();
-        let hybrid = field(&doc, "hybrid").expect("metrics carry a hybrid section");
+        let hybrid = doc.get("hybrid").expect("metrics carry a hybrid section");
         assert_eq!(num_field(hybrid, "builds"), Some(1.0));
         assert_eq!(num_field(hybrid, "fallbacks"), Some(0.0));
         // One core (the spare pair) plus a collapsed static crown.

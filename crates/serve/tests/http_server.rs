@@ -1,12 +1,12 @@
 //! End-to-end tests over real TCP: a [`Server`] on an ephemeral port, the
 //! crate's own [`client`], and bit-identity against the in-process engines.
 
+use dft::json::Json;
 use dft_core::analysis::AnalysisOptions;
 use dft_core::engine::{Analyzer, ParametricAnalyzer};
 use dft_core::service::ServiceOptions;
 use dftmc_serve::client;
 use dftmc_serve::http::HttpLimits;
-use dftmc_serve::json::Json;
 use dftmc_serve::server::{Server, ServerOptions};
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -23,13 +23,7 @@ fn small_options() -> ServerOptions {
 }
 
 fn field(doc: &Json, key: &str) -> Option<Json> {
-    match doc {
-        Json::Obj(entries) => entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone()),
-        _ => None,
-    }
+    doc.get(key).cloned()
 }
 
 fn num(doc: &Json, key: &str) -> f64 {

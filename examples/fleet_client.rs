@@ -10,24 +10,17 @@
 //!
 //! Run with `cargo run --release --example fleet_client`.
 
+use dft::json::Json;
 use dftmc::dft_core::casestudies::cas;
 use dftmc::dft_core::engine::Analyzer;
 use dftmc::dft_core::AnalysisOptions;
 use dftmc_serve::client;
-use dftmc_serve::json::Json;
 use dftmc_serve::server::{Server, ServerOptions};
 use std::net::SocketAddr;
 use std::time::Duration;
 
 fn field(doc: &Json, key: &str) -> Json {
-    match doc {
-        Json::Obj(entries) => entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
-            .unwrap_or(Json::Null),
-        _ => Json::Null,
-    }
+    doc.get(key).cloned().unwrap_or(Json::Null)
 }
 
 fn num(doc: &Json, key: &str) -> f64 {
