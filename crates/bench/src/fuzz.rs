@@ -121,10 +121,23 @@ toplevel "Top";
 "V3" lambda=1.0;
 "#;
 
+/// An FDEP trigger under a PAND: the failure order of the dependents is
+/// unresolved, so the closed model's `must` goal set differs from its `can`
+/// goal set and the two CTMDP sections of its frame differ too.
+const NONDETERMINISTIC_SEED_TEXT: &str = r#"
+toplevel "Top";
+"Top" pand "A" "B";
+"F" fdep "T" "A" "B";
+"T" lambda=0.5;
+"A" lambda=1.0;
+"B" lambda=1.0;
+"#;
+
 /// Sealed session frames, as the persistent store loads them from disk: the
 /// compositional, monolithic and hybrid numeric bodies and the compositional
 /// and hybrid parametric ones, so every backend branch of both session
-/// decoders — the crown, leaf and core branches included — has a seed.
+/// decoders — the crown, leaf and core branches included — has a seed, plus
+/// a non-deterministic compositional body whose bounds are an interval.
 fn session_corpus() -> Vec<Vec<u8>> {
     let dft = dft::galileo::parse(SESSION_SEED_TEXT).expect("the fuzz session corpus parses");
     let with = |method| AnalysisOptions {
@@ -142,12 +155,21 @@ fn session_corpus() -> Vec<Vec<u8>> {
         hybrid.module_stats().is_some() && parametric_hybrid.module_stats().is_some(),
         "the fuzz sample must decompose, or the hybrid decode branches go unseeded"
     );
+    let fdep_pand = dft::galileo::parse(NONDETERMINISTIC_SEED_TEXT)
+        .expect("the non-deterministic fuzz sample parses");
+    let nondeterministic = Analyzer::new(&fdep_pand, AnalysisOptions::default())
+        .expect("the non-deterministic fuzz sample analyzes");
+    assert!(
+        nondeterministic.is_nondeterministic(),
+        "the sample must keep its bounds apart, or no seed has must != can"
+    );
     vec![
         analyzer(Method::Compositional).to_bytes(),
         parametric(Method::Compositional).to_bytes(),
         analyzer(Method::Monolithic).to_bytes(),
         hybrid.to_bytes(),
         parametric_hybrid.to_bytes(),
+        nondeterministic.to_bytes(),
     ]
 }
 
@@ -439,7 +461,7 @@ mod tests {
         match target {
             "galileo::parse" | "json::parse" | "json_format::parse" => 1,
             "http::parse_request" => 3,
-            "Analyzer::from_bytes" | "ParametricAnalyzer::from_bytes" => 5,
+            "Analyzer::from_bytes" | "ParametricAnalyzer::from_bytes" => 6,
             _ => 2,
         }
     }

@@ -691,7 +691,7 @@ fn kernel_experiment(config: &Config) -> Result<Json> {
         timed(|| Ok(kernel.reachability(0, &goal, &times, epsilon, maximise, workers)?))
     };
 
-    let (_, kernel_sequential) = reach(&RelaxKernel::from_states(&template), 1)?;
+    let (_, kernel_sequential) = reach(&RelaxKernel::from_template(&template, &edge_rates, 1)?, 1)?;
 
     // K rate-scaled lanes: once through the batched kernel, once as K
     // independent single-lane kernels.

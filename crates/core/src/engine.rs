@@ -65,10 +65,9 @@ use ioimc::closed::{
 };
 use ioimc::stats::ModelStats;
 use ioimc::{Action, IoImc, IoImcOf, ParametricIoImc, Rate};
-use markov::ctmdp::{Ctmdp, CtmdpState};
-use markov::kernel::RelaxKernel;
 use markov::steady::steady_state_probability;
 use markov::Ctmc;
+use markov::{CtmdpState, RelaxKernel};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -96,6 +95,84 @@ pub(crate) struct ClosedModel<R> {
     /// the optimistic and pessimistic goal sets coincide, so unreliability is
     /// a point value rather than an interval.
     pub(crate) point_valued: bool,
+}
+
+/// The kernel lowering of a closed model before rates are assigned: the
+/// CTMDP structure (with placeholder Markovian rates) and the rate of every
+/// Markovian edge in kernel edge order — state order, row order within a
+/// state, the walk of [`ctmdp_states_of`].  A numeric session lowers its model
+/// once, into one single-lane kernel; a parametric session caches this and
+/// assigns K valuations per sweep.
+#[derive(Debug)]
+pub(crate) struct Lowering<R> {
+    states: Vec<CtmdpState>,
+    rates: Vec<R>,
+}
+
+impl<R: Rate> Lowering<R> {
+    fn of(closed: &IoImcOf<R>) -> Lowering<R> {
+        let mut rates = Vec::new();
+        let states = ctmdp_states_of(closed, |rate| {
+            rates.push(rate.clone());
+            1.0
+        });
+        Lowering { states, rates }
+    }
+
+    /// The one kernel of `lanes` rate assignments: lane `k` rates an edge
+    /// of rate `r` at `rate(r, k)`.
+    fn kernel(&self, lanes: usize, rate: impl Fn(&R, usize) -> f64) -> Result<RelaxKernel> {
+        let mut lane_rates = Vec::with_capacity(self.rates.len() * lanes);
+        for r in &self.rates {
+            lane_rates.extend((0..lanes).map(|k| rate(r, k)));
+        }
+        Ok(RelaxKernel::from_template(
+            &self.states,
+            &lane_rates,
+            lanes,
+        )?)
+    }
+}
+
+/// Compositional unreliability over the merged time grid `times`, for every
+/// lane of `kernel` — one lane for a session, K for a sweep: the upper bound
+/// is the maximal probability of reaching the `can` goals, the lower bound
+/// the minimal probability of reaching the `must` goals.  When the model is
+/// point-valued the two passes would be the same value iteration over the
+/// same kernel, so the lower pass is skipped.
+fn unreliability_lanes<R: Rate>(
+    model: &ClosedModel<R>,
+    kernel: &RelaxKernel,
+    times: &[f64],
+    epsilon: f64,
+) -> Result<Vec<MeasureResult>> {
+    let initial = model.closed.initial().index();
+    let workers = kernel.auto_workers();
+    let reach = |goal: &[bool], maximise| {
+        kernel.reachability(initial, goal, times, epsilon, maximise, workers)
+    };
+    let uppers = reach(&model.can, true)?;
+    let lowers = if model.point_valued {
+        uppers.clone()
+    } else {
+        reach(&model.must, false)?
+    };
+    let lanes = kernel.lanes();
+    Ok((0..lanes)
+        .map(|k| {
+            MeasureResult::new(
+                times
+                    .iter()
+                    .enumerate()
+                    .map(|(slot, &t)| {
+                        let hi = uppers[slot * lanes + k];
+                        let lo = lowers[slot * lanes + k];
+                        MeasurePoint::bounded(Some(t), model.point_valued.then_some(hi), (lo, hi))
+                    })
+                    .collect(),
+            )
+        })
+        .collect())
 }
 
 /// The shared tail of both compositional constructors ([`Analyzer::new`] and
@@ -228,33 +305,35 @@ pub(crate) enum Leaf<B> {
 }
 
 impl<B: Copy, C> Hybrid<B, C> {
-    /// The crown evaluation of both session types: one exact BDD probability
-    /// per mission time, with `rate` resolving a basic-event leaf and
-    /// `core_value(core, i)` the unreliability of that core at `times[i]`.
+    /// The per-lane crown step of both session types: one exact BDD
+    /// probability per mission time, with `rate` resolving a basic-event leaf
+    /// and `core(c)` core `c`'s unreliability over `times` in this lane.
     /// Exact because the cores are pairwise independent and independent of
     /// every crown basic event, and all indicators are monotone ("failed by
     /// t").
-    fn crown_points(
+    fn crown_points<'a>(
         &self,
         times: &[f64],
         rate: impl Fn(B) -> f64,
-        core_value: impl Fn(usize, usize) -> f64,
-    ) -> Vec<MeasurePoint> {
+        core: impl Fn(usize) -> &'a MeasureResult,
+    ) -> MeasureResult {
         let mut probabilities = vec![0.0f64; self.leaves.len()];
-        times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| {
-                for (p, leaf) in probabilities.iter_mut().zip(&self.leaves) {
-                    *p = match *leaf {
-                        Leaf::Unused => 0.0,
-                        Leaf::Basic(b) => -(-rate(b) * t).exp_m1(),
-                        Leaf::Core(index) => core_value(index as usize, i),
-                    };
-                }
-                MeasurePoint::exact(Some(t), self.crown.probability(&probabilities))
-            })
-            .collect()
+        MeasureResult::new(
+            times
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| {
+                    for (p, leaf) in probabilities.iter_mut().zip(&self.leaves) {
+                        *p = match *leaf {
+                            Leaf::Unused => 0.0,
+                            Leaf::Basic(b) => -(-rate(b) * t).exp_m1(),
+                            Leaf::Core(index) => core(index as usize).points()[i].value(),
+                        };
+                    }
+                    MeasurePoint::exact(Some(t), self.crown.probability(&probabilities))
+                })
+                .collect(),
+        )
     }
 }
 
@@ -382,19 +461,11 @@ pub(crate) enum Backend {
     /// The paper's compositional pipeline: the closed, minimised I/O-IMC with the
     /// top failure signal kept observable and a monitor process composed in.
     Compositional {
-        closed: IoImc,
-        top_failure: Action,
-        has_repair: bool,
-        /// `true` when the closed model has no immediate non-determinism *and*
-        /// the optimistic and pessimistic goal sets coincide, so unreliability is
-        /// a point value rather than an interval.
-        point_valued: bool,
-        /// CTMDP with the optimistic ("can fire the failure") goal set; its
-        /// maximising analysis yields the upper bound.
-        upper: Ctmdp,
-        /// CTMDP with the pessimistic ("must fire the failure") goal set; its
-        /// minimising analysis yields the lower bound.
-        lower: Ctmdp,
+        model: ClosedModel<f64>,
+        /// The one lowering of `model`: its unreliability bounds are the
+        /// maximising pass towards the `can` goals and the minimising pass
+        /// towards the `must` goals over this kernel.
+        kernel: RelaxKernel,
         /// Embedded CTMC with the monitor's "down" labels, extracted lazily for
         /// the steady-state and first-passage measures (fails for CTMDPs).  A
         /// [`OnceLock`] rather than a `OnceCell` so a shared `Arc<Analyzer>` can
@@ -433,28 +504,13 @@ impl Session for Analyzer {
 }
 
 impl Backend {
-    /// The compositional backend of a closed numeric model: lowers it to the
-    /// can/must CTMDP pair its unreliability bounds are computed on.
-    fn compositional(model: ClosedModel<f64>) -> Result<Backend> {
-        let ClosedModel {
-            closed,
-            top_failure,
-            has_repair,
-            can,
-            must,
-            point_valued,
-        } = model;
-        let ctmdp_states = ctmdp_states_of(&closed, |&rate| rate);
-        let initial = closed.initial().index();
-        let upper = Ctmdp::new(ctmdp_states.clone(), initial, can)?;
-        let lower = Ctmdp::new(ctmdp_states, initial, must)?;
+    /// The compositional backend of a closed numeric model: lowers it, once,
+    /// into the kernel its unreliability bounds are computed on.
+    pub(crate) fn compositional(model: ClosedModel<f64>) -> Result<Backend> {
+        let kernel = Lowering::of(&model.closed).kernel(1, |&rate, _| rate)?;
         Ok(Backend::Compositional {
-            closed,
-            top_failure,
-            has_repair,
-            point_valued,
-            upper,
-            lower,
+            model,
+            kernel,
             tangible: OnceLock::new(),
         })
     }
@@ -632,51 +688,19 @@ impl Analyzer {
                         .collect(),
                 ))
             }
-            Backend::Compositional {
-                point_valued,
-                upper,
-                lower,
-                ..
-            } => {
-                let uppers = upper.reachability_max_multi(times, epsilon)?;
-                // When the model is deterministic and the optimistic/pessimistic
-                // goal sets coincide, the minimising pass would redo the same
-                // value iteration over the same CTMDP — skip it.
-                let lowers = if *point_valued {
-                    uppers.clone()
-                } else {
-                    lower.reachability_min_multi(times, epsilon)?
-                };
-                Ok(MeasureResult::new(
-                    times
-                        .iter()
-                        .zip(lowers.into_iter().zip(uppers))
-                        .map(|(&t, (lo, hi))| {
-                            MeasurePoint::bounded(Some(t), point_valued.then_some(hi), (lo, hi))
-                        })
-                        .collect(),
-                ))
+            Backend::Compositional { model, kernel, .. } => {
+                let mut lanes = unreliability_lanes(model, kernel, times, epsilon)?;
+                Ok(lanes.pop().expect("a session kernel has one lane"))
             }
             Backend::Hybrid(hybrid) => {
                 // One multi-time pass per dynamic core, then the crown per
                 // time point.
-                let core_curves = hybrid
+                let cores = hybrid
                     .cores
                     .iter()
-                    .map(|core| {
-                        Ok(core
-                            .unreliability_points(times)?
-                            .points()
-                            .iter()
-                            .map(MeasurePoint::value)
-                            .collect::<Vec<f64>>())
-                    })
-                    .collect::<Result<Vec<Vec<f64>>>>()?;
-                Ok(MeasureResult::new(hybrid.crown_points(
-                    times,
-                    |rate| rate,
-                    |core, i| core_curves[core][i],
-                )))
+                    .map(|core| core.unreliability_points(times))
+                    .collect::<Result<Vec<MeasureResult>>>()?;
+                Ok(hybrid.crown_points(times, |rate| rate, |core| &cores[core]))
             }
         }
     }
@@ -705,8 +729,8 @@ impl Analyzer {
                         .to_owned(),
                 })
             }
-            (Measure::Unavailability, Backend::Compositional { has_repair, .. }) => {
-                if !has_repair {
+            (Measure::Unavailability, Backend::Compositional { model, .. }) => {
+                if !model.has_repair {
                     return Err(Error::Unsupported {
                         message: "the top event never emits a repair signal".to_owned(),
                     });
@@ -738,12 +762,12 @@ impl Analyzer {
     /// first use and cached for the session.
     fn tangible(&self) -> Result<(&Ctmc, &[bool])> {
         let Backend::Compositional {
-            closed, tangible, ..
+            model, tangible, ..
         } = &self.backend
         else {
             unreachable!("tangible() is only called on the compositional backend");
         };
-        match tangible.get_or_init(|| extract_ctmc_with_label(closed, DOWN_PROP)) {
+        match tangible.get_or_init(|| extract_ctmc_with_label(&model.closed, DOWN_PROP)) {
             Ok((ctmc, labels)) => Ok((ctmc, labels)),
             Err(e) => Err(e.clone()),
         }
@@ -789,7 +813,7 @@ impl Analyzer {
     /// unreliability queries report scheduler bounds instead of point values.
     pub fn is_nondeterministic(&self) -> bool {
         match &self.backend {
-            Backend::Compositional { point_valued, .. } => !point_valued,
+            Backend::Compositional { model, .. } => !model.point_valued,
             // A hybrid backend is only ever built from deterministic cores.
             Backend::Monolithic { .. } | Backend::Hybrid(_) => false,
         }
@@ -799,7 +823,7 @@ impl Analyzer {
     /// session has one closed model *per core* and no single final I/O-IMC).
     pub fn final_model(&self) -> Option<&IoImc> {
         match &self.backend {
-            Backend::Compositional { closed, .. } => Some(closed),
+            Backend::Compositional { model, .. } => Some(&model.closed),
             Backend::Monolithic { .. } | Backend::Hybrid(_) => None,
         }
     }
@@ -808,7 +832,7 @@ impl Analyzer {
     /// method only).
     pub fn top_failure(&self) -> Option<Action> {
         match &self.backend {
-            Backend::Compositional { top_failure, .. } => Some(*top_failure),
+            Backend::Compositional { model, .. } => Some(model.top_failure),
             Backend::Monolithic { .. } | Backend::Hybrid(_) => None,
         }
     }
@@ -827,9 +851,10 @@ impl Analyzer {
     }
 
     /// Serializes the session into the versioned binary container of the
-    /// persistent model cache (see [`crate::store`]): the closed model, the
-    /// can/must CTMDP pair with their goal vectors, the statistics and the
-    /// options, framed with magic, format version and a payload checksum.
+    /// persistent model cache (see [`crate::store`]): the closed model, its
+    /// CTMDP lowering once with the can and once with the must goal vector,
+    /// the statistics and the options, framed with magic, format version and
+    /// a payload checksum.
     ///
     /// The inverse is [`from_bytes`](Self::from_bytes); a restored session
     /// answers every query bit-identically to this one and reports
@@ -913,11 +938,10 @@ pub(crate) enum ParametricBackend {
     /// The symbolic closed model of the full tree (rates are linear forms).
     Compositional {
         model: ClosedModel<ioimc::RateForm>,
-        /// The shared CTMDP structure of the closed model, lowered once on
-        /// first sweep: batched sweeps evaluate rate forms straight into
-        /// kernel lanes instead of instantiating one `Ctmdp` pair per
-        /// valuation.
-        sweep_template: OnceLock<SweepTemplate>,
+        /// The lowering of the closed model, computed on first sweep:
+        /// batched sweeps evaluate its rate forms straight into kernel lanes
+        /// instead of instantiating one session per valuation.
+        lowering: OnceLock<Lowering<ioimc::RateForm>>,
     },
     /// The hybrid decomposition; crown basic events carry their failure slot
     /// in the session's global [`ParamTable`].
@@ -941,17 +965,6 @@ impl ParametricCore {
     }
 }
 
-/// The lowering [`ParametricAnalyzer`] caches for batched sweeps: the CTMDP
-/// state vector with dummy Markovian rates (the structure), the rate form of
-/// every Markovian edge in kernel edge order (state order, row order within a
-/// state — exactly the walk of [`ctmdp_states_of`]), and the initial state.
-#[derive(Debug)]
-pub(crate) struct SweepTemplate {
-    states: Vec<CtmdpState>,
-    forms: Vec<ioimc::RateForm>,
-    initial: usize,
-}
-
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ParametricAnalyzer>()
@@ -969,7 +982,7 @@ impl Session for ParametricAnalyzer {
             params,
             backend: ParametricBackend::Compositional {
                 model,
-                sweep_template: OnceLock::new(),
+                lowering: OnceLock::new(),
             },
         })
     }
@@ -1049,7 +1062,7 @@ impl ParametricAnalyzer {
     /// # Errors
     ///
     /// Returns [`Error::InvalidValuation`] when the valuation does not fit the
-    /// model's [`ParamTable`] and propagates CTMDP construction errors.
+    /// model's [`ParamTable`] and propagates kernel construction errors.
     pub fn instantiate(&self, valuation: &Valuation) -> Result<Analyzer> {
         valuation.check_against(&self.params)?;
         let values = valuation.values();
@@ -1156,8 +1169,8 @@ impl ParametricAnalyzer {
     }
 
     /// The batched sweep: K valuations become K lanes of one [`RelaxKernel`]
-    /// built from the cached [`SweepTemplate`], and one value-iteration pass
-    /// per goal set answers every lane and every time bound at once.
+    /// built from the cached [`Lowering`], and one value-iteration pass per
+    /// goal set answers every lane and every time bound at once.
     fn sweep_batched(&self, times: &[f64], valuations: &[Valuation]) -> Result<RateSweep> {
         // Merge duplicate time bounds exactly as `Analyzer::query_all` does,
         // so each lane reads the same merged grid a per-point query would.
@@ -1165,102 +1178,36 @@ impl ParametricAnalyzer {
         let slots = grid.slots(times)?;
         let unique_times = &grid.times;
 
-        match &self.backend {
-            ParametricBackend::Compositional {
-                model,
-                sweep_template,
-            } => {
-                let ClosedModel {
-                    closed,
-                    can,
-                    must,
-                    point_valued,
-                    ..
-                } = model;
+        let started = Instant::now();
+        for valuation in valuations {
+            valuation.check_against(&self.params)?;
+        }
+        let mut instantiate_time = started.elapsed();
+        let mut query_time = Duration::ZERO;
+        let lanes = match &self.backend {
+            ParametricBackend::Compositional { model, lowering } => {
                 let started = Instant::now();
-                let template = sweep_template.get_or_init(|| {
-                    let mut forms = Vec::new();
-                    let states = ctmdp_states_of(closed, |form| {
-                        forms.push(form.clone());
-                        // The rate is a template placeholder; the kernel
-                        // takes real rates per lane.
-                        1.0
-                    });
-                    SweepTemplate {
-                        states,
-                        forms,
-                        initial: closed.initial().index(),
-                    }
-                });
-                let lanes = valuations.len();
-                let mut lane_rates = vec![0.0f64; template.forms.len() * lanes];
-                for (k, valuation) in valuations.iter().enumerate() {
-                    valuation.check_against(&self.params)?;
-                    let values = valuation.values();
-                    // Same forms, same eval, same slot order as `map_rates`
-                    // inside `instantiate` — lane k's rates carry identical
-                    // bits.
-                    for (e, form) in template.forms.iter().enumerate() {
-                        lane_rates[e * lanes + k] = form.eval(values);
-                    }
-                }
-                let kernel = RelaxKernel::from_template(&template.states, &lane_rates, lanes)?;
-                let instantiate_time = started.elapsed();
-
+                // Same forms, same eval, same slot order as `map_rates`
+                // inside `instantiate` — lane k's rates carry identical bits.
+                let kernel = lowering
+                    .get_or_init(|| Lowering::of(&model.closed))
+                    .kernel(valuations.len(), |form, k| {
+                        form.eval(valuations[k].values())
+                    })?;
+                instantiate_time += started.elapsed();
                 let started = Instant::now();
-                let epsilon = self.header.options.epsilon;
-                let workers = kernel.auto_workers();
-                let reach = |goal: &[bool], maximise: bool| {
-                    kernel.reachability(
-                        template.initial,
-                        goal,
-                        unique_times,
-                        epsilon,
-                        maximise,
-                        workers,
-                    )
-                };
-                let uppers = reach(can, true)?;
-                let lowers = if *point_valued {
-                    uppers.clone()
-                } else {
-                    reach(must, false)?
-                };
-                let results = (0..lanes)
-                    .map(|k| {
-                        let points: Vec<MeasurePoint> = unique_times
-                            .iter()
-                            .enumerate()
-                            .map(|(slot, &t)| {
-                                let hi = uppers[slot * lanes + k];
-                                let lo = lowers[slot * lanes + k];
-                                MeasurePoint::bounded(Some(t), point_valued.then_some(hi), (lo, hi))
-                            })
-                            .collect();
-                        MeasureResult::new(slots.iter().map(|&slot| points[slot]).collect())
-                    })
-                    .collect();
-                Ok(RateSweep {
-                    results,
-                    instantiate_time,
-                    query_time: started.elapsed(),
-                })
+                let lanes =
+                    unreliability_lanes(model, &kernel, unique_times, self.header.options.epsilon)?;
+                query_time += started.elapsed();
+                lanes
             }
             ParametricBackend::Hybrid(hybrid) => {
-                let started = Instant::now();
-                for valuation in valuations {
-                    valuation.check_against(&self.params)?;
-                }
-                let mut instantiate_time = started.elapsed();
-                let mut query_time = Duration::ZERO;
-
                 // One nested batched sweep per core over the merged grid.
                 // Each core sweep is bit-identical to instantiating that core
                 // per valuation, so the whole hybrid sweep matches the
                 // per-point hybrid path bit for bit.
                 let measure = Measure::UnreliabilityCurve(unique_times.clone());
-                // core_curves[core][lane][time slot]
-                let mut core_curves: Vec<Vec<Vec<f64>>> = Vec::with_capacity(hybrid.cores.len());
+                let mut cores = Vec::with_capacity(hybrid.cores.len());
                 for core in &hybrid.cores {
                     let projected: Vec<Valuation> = valuations
                         .iter()
@@ -1269,37 +1216,35 @@ impl ParametricAnalyzer {
                     let sweep = core.analyzer.sweep_query(&measure, &projected)?;
                     instantiate_time += sweep.instantiate_time();
                     query_time += sweep.query_time();
-                    core_curves.push(
-                        sweep
-                            .results()
-                            .iter()
-                            .map(|result| result.points().iter().map(MeasurePoint::value).collect())
-                            .collect(),
-                    );
+                    cores.push(sweep.results);
                 }
-
                 let started = Instant::now();
-                let results = valuations
+                let lanes = valuations
                     .iter()
                     .enumerate()
                     .map(|(k, valuation)| {
                         let values = valuation.values();
-                        let points = hybrid.crown_points(
+                        hybrid.crown_points(
                             unique_times,
                             |slot| values[slot as usize],
-                            |core, i| core_curves[core][k][i],
-                        );
-                        MeasureResult::new(slots.iter().map(|&slot| points[slot]).collect())
+                            |core| &cores[core][k],
+                        )
                     })
                     .collect();
                 query_time += started.elapsed();
-                Ok(RateSweep {
-                    results,
-                    instantiate_time,
-                    query_time,
-                })
+                lanes
             }
-        }
+        };
+        Ok(RateSweep {
+            results: lanes
+                .iter()
+                .map(|lane| {
+                    MeasureResult::new(slots.iter().map(|&slot| lane.points()[slot]).collect())
+                })
+                .collect(),
+            instantiate_time,
+            query_time,
+        })
     }
 
     /// Convenience sweep of [`Measure::Unreliability`] at mission time `t`: the
@@ -1444,7 +1389,7 @@ impl RateSweep {
         self.results.is_empty()
     }
 
-    /// Total time spent evaluating rate forms and building CTMDPs.
+    /// Total time spent evaluating rate forms and building kernels.
     pub fn instantiate_time(&self) -> Duration {
         self.instantiate_time
     }
@@ -1458,8 +1403,7 @@ impl RateSweep {
 /// Rejects mission times no transient analysis can answer — NaN, infinite or
 /// negative — with a typed error at the query boundary, so they never reach
 /// the uniformisation routines (which would report them as an untyped
-/// numerical [`markov::Error::InvalidValue`] from deep inside
-/// `Ctmc::transient`).
+/// numerical [`markov::Error::InvalidValue`] from deep inside the kernel).
 fn validate_mission_time(t: f64) -> Result<()> {
     if t.is_finite() && t >= 0.0 {
         Ok(())
@@ -1509,7 +1453,7 @@ impl TimeGrid {
 /// crate: urgent states offer their immediate successors as a non-deterministic
 /// choice, all other states race their Markovian transitions, each at the rate
 /// `rate_of` gives it (called in state order, row order within a state).
-fn ctmdp_states_of<R: Rate>(
+pub(crate) fn ctmdp_states_of<R: Rate>(
     closed: &IoImcOf<R>,
     mut rate_of: impl FnMut(&R) -> f64,
 ) -> Vec<CtmdpState> {

@@ -6,10 +6,14 @@
 //! [`Dft::structural_fingerprint`](dft::Dft::structural_fingerprint) are stable
 //! across processes and platforms by construction.  A [`ModelStore`] therefore
 //! serializes *closed* models — the final minimised I/O-IMC with its can/must
-//! CTMDP pair and goal vectors, or the parametric quotient with its
-//! [`ParamTable`] — into a directory shared between runs and between a fleet
-//! of analysis servers, turning a restart from N full aggregations into N
-//! disk reads.
+//! goal vectors, or the parametric quotient with its [`ParamTable`] — into a
+//! directory shared between runs and between a fleet of analysis servers,
+//! turning a restart from N full aggregations into N disk reads.  A numeric
+//! compositional body stores its goal vectors as two CTMDP sections (state
+//! vector, initial state, goal vector); both are re-derived from the closed
+//! model on encode, and the decoder refuses sections that disagree with the
+//! closed model it decoded.  A restored session lowers that closed model into
+//! its kernel exactly as a fresh build does.
 //!
 //! # Entry format
 //!
@@ -51,8 +55,8 @@
 use crate::aggregate::{AggregationStats, StepStats};
 use crate::analysis::{AnalysisOptions, Method};
 use crate::engine::{
-    Analyzer, Backend, ClosedModel, Header, Hybrid, Leaf, ParametricAnalyzer, ParametricBackend,
-    ParametricCore, Session,
+    ctmdp_states_of, Analyzer, Backend, ClosedModel, Header, Hybrid, Leaf, ParametricAnalyzer,
+    ParametricBackend, ParametricCore, Session,
 };
 use crate::parametric::{ParamKind, ParamTable};
 use crate::{Error, Result};
@@ -61,8 +65,7 @@ use dft::modules::ModuleStats;
 use ioimc::codec::{self, DecodeError, DecodeResult, Reader, Writer};
 use ioimc::stats::ModelStats;
 use ioimc::Action;
-use markov::ctmdp::{Ctmdp, CtmdpState};
-use markov::Ctmc;
+use markov::{Ctmc, CtmdpState};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -303,11 +306,11 @@ fn decode_bools(r: &mut Reader<'_>) -> DecodeResult<Vec<bool>> {
     (0..n).map(|_| r.bool()).collect()
 }
 
-/// Serializes a CTMDP: the state vector, the initial state and the goal
-/// vector — exactly the triple [`Ctmdp::new`] consumes on the way back.
-fn encode_ctmdp(ctmdp: &Ctmdp, w: &mut Writer) {
-    w.len_prefix(ctmdp.num_states());
-    for state in ctmdp.states() {
+/// Serializes a CTMDP section: the state vector, the initial state and the
+/// goal vector.
+fn encode_ctmdp(states: &[CtmdpState], initial: usize, goal: &[bool], w: &mut Writer) {
+    w.len_prefix(states.len());
+    for state in states {
         match state {
             CtmdpState::Markovian(rates) => {
                 w.u8(0);
@@ -326,14 +329,20 @@ fn encode_ctmdp(ctmdp: &Ctmdp, w: &mut Writer) {
             }
         }
     }
-    w.len_prefix(ctmdp.initial());
-    encode_bools(ctmdp.goal(), w);
+    w.len_prefix(initial);
+    encode_bools(goal, w);
 }
 
-/// Decodes a CTMDP through the validating [`Ctmdp::new`] constructor, so
-/// out-of-range targets and invalid rates in a corrupted entry surface as a
-/// clean [`DecodeError`].
-fn decode_ctmdp(r: &mut Reader<'_>) -> DecodeResult<Ctmdp> {
+/// Decodes a CTMDP section and returns its goal vector.  The section's state
+/// vector and initial state must be exactly `expected` and
+/// `expected_initial`, the lowering of the closed model decoded before it,
+/// and its goal vector must cover every state: a section that disagrees with
+/// its model is refused.
+fn decode_ctmdp(
+    r: &mut Reader<'_>,
+    expected: &[CtmdpState],
+    expected_initial: usize,
+) -> DecodeResult<Vec<bool>> {
     let num_states = r.len_prefix(1)?;
     let mut states = Vec::with_capacity(num_states);
     for _ in 0..num_states {
@@ -359,8 +368,12 @@ fn decode_ctmdp(r: &mut Reader<'_>) -> DecodeResult<Ctmdp> {
     }
     let initial = r.len_prefix(0)?;
     let goal = decode_bools(r)?;
-    Ctmdp::new(states, initial, goal)
-        .map_err(|e| DecodeError::new(format!("decoded CTMDP is invalid: {e}")))
+    if states != expected || initial != expected_initial || goal.len() != expected.len() {
+        return Err(DecodeError::new(
+            "a CTMDP section disagrees with the closed model",
+        ));
+    }
+    Ok(goal)
 }
 
 // ---------------------------------------------------------------------------
@@ -594,21 +607,22 @@ impl Persist for Analyzer {
         encode_header(&self.header, true, w);
         match &self.backend {
             Backend::Compositional {
-                closed,
-                top_failure,
-                has_repair,
-                point_valued,
-                upper,
-                lower,
-                tangible: _, // derived lazily and deterministically from `closed`
+                model,
+                // Both derived deterministically from `model.closed`.
+                kernel: _,
+                tangible: _,
             } => {
                 w.u8(0);
-                w.str(top_failure.name());
-                w.bool(*has_repair);
-                w.bool(*point_valued);
-                codec::encode_model(closed, w);
-                encode_ctmdp(upper, w);
-                encode_ctmdp(lower, w);
+                w.str(model.top_failure.name());
+                w.bool(model.has_repair);
+                w.bool(model.point_valued);
+                codec::encode_model(&model.closed, w);
+                // Format 1 carries the closed model's CTMDP lowering twice:
+                // once with the can and once with the must goal vector.
+                let states = ctmdp_states_of(&model.closed, |&rate| rate);
+                let initial = model.closed.initial().index();
+                encode_ctmdp(&states, initial, &model.can, w);
+                encode_ctmdp(&states, initial, &model.must, w);
             }
             Backend::Monolithic { ctmc, goal } => {
                 w.u8(1);
@@ -646,24 +660,19 @@ impl Persist for Analyzer {
                 let has_repair = r.bool()?;
                 let point_valued = r.bool()?;
                 let closed = codec::decode_model::<f64>(r)?;
-                let upper = decode_ctmdp(r)?;
-                let lower = decode_ctmdp(r)?;
-                if upper.num_states() != closed.num_states()
-                    || lower.num_states() != closed.num_states()
-                {
-                    return Err(DecodeError::new(
-                        "CTMDP state counts disagree with the closed model",
-                    ));
-                }
-                Backend::Compositional {
+                let states = ctmdp_states_of(&closed, |&rate| rate);
+                let initial = closed.initial().index();
+                let can = decode_ctmdp(r, &states, initial)?;
+                let must = decode_ctmdp(r, &states, initial)?;
+                Backend::compositional(ClosedModel {
                     closed,
                     top_failure,
                     has_repair,
+                    can,
+                    must,
                     point_valued,
-                    upper,
-                    lower,
-                    tangible: OnceLock::new(),
-                }
+                })
+                .map_err(|e| DecodeError::new(format!("decoded model is invalid: {e}")))?
             }
             (1, Method::Monolithic) => {
                 let num_states = r.len_prefix(0)?;
@@ -714,7 +723,7 @@ impl Persist for ParametricAnalyzer {
         match &self.backend {
             ParametricBackend::Compositional {
                 model,
-                sweep_template: _, // derived lazily and deterministically
+                lowering: _, // derived lazily and deterministically
             } => {
                 if self.header.options.method == Method::Hybrid {
                     w.u8(0);
@@ -781,7 +790,7 @@ impl Persist for ParametricAnalyzer {
                         must,
                         point_valued,
                     },
-                    sweep_template: OnceLock::new(),
+                    lowering: OnceLock::new(),
                 };
                 (params, backend)
             }
@@ -1195,6 +1204,65 @@ mod tests {
             .unwrap()
             .join()
             .unwrap()
+    }
+
+    #[test]
+    fn ctmdp_sections_that_disagree_with_the_closed_model_fail_typed() {
+        let dft = crate::engine::tests::mixed_tree("sc");
+        let analyzer = Analyzer::new(&dft, AnalysisOptions::default()).unwrap();
+        let Backend::Compositional { model, .. } = &analyzer.backend else {
+            panic!("a compositional build has a compositional backend")
+        };
+        let section = |states: &[CtmdpState], initial: usize, goal: &[bool]| {
+            let mut w = Writer::new();
+            encode_ctmdp(states, initial, goal, &mut w);
+            w.into_bytes()
+        };
+        // The genuine body ends with its two sections; splice tampered ones
+        // in their place and reseal, so only the section check can object.
+        let states = ctmdp_states_of(&model.closed, |&rate| rate);
+        let initial = model.closed.initial().index();
+        let upper = section(&states, initial, &model.can);
+        let lower = section(&states, initial, &model.must);
+        let payload = encode_payload(&analyzer);
+        let prefix = &payload[..payload.len() - upper.len() - lower.len()];
+        assert_eq!([prefix, &upper, &lower].concat(), payload);
+        let decode = |upper: &[u8], lower: &[u8]| {
+            let epsilon = analyzer.header.options.epsilon.to_bits();
+            from_bytes::<Analyzer>(&seal(
+                Kind::Session,
+                0,
+                epsilon,
+                &[prefix, upper, lower].concat(),
+            ))
+        };
+        assert!(decode(&upper, &lower).is_ok());
+
+        let mut rerated = states.clone();
+        let row = rerated
+            .iter_mut()
+            .find_map(|state| match state {
+                CtmdpState::Markovian(row) if !row.is_empty() => Some(row),
+                _ => None,
+            })
+            .expect("the closed model races at least one delay");
+        row[0].1 *= 2.0;
+        let rerated_upper = section(&rerated, initial, &model.can);
+        let rerated_lower = section(&rerated, initial, &model.must);
+        let moved_initial = section(&states, initial + 1, &model.can);
+        let short_goal = section(&states, initial, &model.must[1..]);
+        for (upper, lower) in [
+            (&rerated_upper, &lower),
+            (&upper, &rerated_lower),
+            (&moved_initial, &lower),
+            (&upper, &short_goal),
+        ] {
+            let error = decode(upper, lower).err();
+            assert!(
+                matches!(&error, Some(Error::Store { message }) if message.contains("disagrees")),
+                "{error:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,15 @@
 //! Flat CSR value-iteration kernel for CTMDP transient analysis.
 //!
-//! Every query the engine answers bottoms out in the uniformisation /
-//! value-iteration passes of [`crate::ctmdp`].  The naive relax loop there
-//! chases per-state `Vec<(target, rate)>` allocations; this module lowers the
-//! Markovian choices into a flat CSR-style layout once per model so the inner
-//! relax runs over contiguous arrays, and adds two levers on top:
+//! Every unreliability the engine reports bottoms out in uniformised value
+//! iteration over a closed CTMDP: Markovian states race exponential delays,
+//! immediate states choose non-deterministically among their successors, and
+//! a step-indexed iteration resolves the choices greedily (maximising or
+//! minimising) — the scheme of Baier, Hermanns, Katoen & Haverkort (TCS 345,
+//! 2005), which yields the optimum over time-abstract schedulers.  This module
+//! lowers the [`CtmdpState`] vector of a closed model into a flat CSR-style
+//! layout once, through one validating constructor
+//! ([`RelaxKernel::from_template`]), so the inner relax runs over contiguous
+//! arrays, and adds two levers on top:
 //!
 //! * **Lane batching** — K independent rate assignments of one shared
 //!   structure (a parametric rate sweep) iterate as K *lanes* of a
@@ -24,12 +29,10 @@
 //!   Poisson accumulation stay sequential (they are a negligible fraction of
 //!   the work and their order is part of the determinism contract).
 //!
-//! The kernel is the production path of [`crate::Ctmdp`]'s reachability
-//! methods; the original nested-loop implementation is kept, in test builds
-//! only, as `Ctmdp::reachability_extremal_multi_legacy`, the oracle of the
+//! The original nested-loop value iteration is kept, in test builds only, as
+//! `Ctmdp::reachability_extremal_multi_legacy`, the oracle of the
 //! differential tests below.
 
-use crate::ctmdp::CtmdpState;
 use crate::poisson::{poisson_weights_multi, PoissonWeights};
 use crate::{Error, Result};
 use std::ops::Range;
@@ -92,6 +95,15 @@ pub fn max_workers() -> usize {
     }
 }
 
+/// One state of a closed CTMDP, as the kernel lowers it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CtmdpState {
+    /// A stochastic state racing exponential delays; entries are `(target, rate)`.
+    Markovian(Vec<(u32, f64)>),
+    /// An instantaneous state with a non-deterministic choice among successors.
+    Immediate(Vec<u32>),
+}
+
 /// A CTMDP lowered into flat CSR arrays, ready for (optionally batched and
 /// multi-threaded) value iteration.
 ///
@@ -119,59 +131,16 @@ pub struct RelaxKernel {
 }
 
 impl RelaxKernel {
-    /// Lowers a validated CTMDP state vector into the flat layout
-    /// (single-lane).
-    ///
-    /// The states must satisfy the invariants of [`crate::Ctmdp::new`]
-    /// (in-range targets, finite positive rates); this is the cached builder
-    /// [`crate::Ctmdp`] invokes once per model.
-    pub fn from_states(states: &[CtmdpState]) -> RelaxKernel {
-        let n = states.len();
-        let mut kernel = RelaxKernel {
-            num_states: n,
-            lanes: 1,
-            row_ptr: Vec::with_capacity(n + 1),
-            cols: Vec::new(),
-            rates: Vec::new(),
-            exit: Vec::with_capacity(n),
-            choice_ptr: Vec::with_capacity(n + 1),
-            choice_cols: Vec::new(),
-            immediate: Vec::with_capacity(n),
-        };
-        kernel.row_ptr.push(0);
-        kernel.choice_ptr.push(0);
-        for st in states {
-            match st {
-                CtmdpState::Markovian(row) => {
-                    let mut exit = 0.0f64;
-                    for &(target, rate) in row {
-                        kernel.cols.push(target);
-                        kernel.rates.push(rate);
-                        exit += rate;
-                    }
-                    kernel.exit.push(exit);
-                    kernel.immediate.push(false);
-                }
-                CtmdpState::Immediate(succs) => {
-                    kernel.choice_cols.extend_from_slice(succs);
-                    kernel.exit.push(0.0);
-                    kernel.immediate.push(true);
-                }
-            }
-            kernel.row_ptr.push(kernel.cols.len());
-            kernel.choice_ptr.push(kernel.choice_cols.len());
-        }
-        kernel
-    }
-
     /// Lowers a shared structure plus `lanes` independent rate assignments
-    /// into one batched kernel.
+    /// into one kernel — the only way to build one.
     ///
     /// `template` provides the structure (its own Markovian rates are
     /// ignored); `lane_rates[e * lanes + k]` is the rate of the `e`-th
     /// Markovian edge — counted in state order, row order within a state —
-    /// under lane `k`.  This is how a parametric sweep batches K valuations
-    /// of one closed model into a single traversal.
+    /// under lane `k`.  A numeric model is one lane carrying its own rates;
+    /// a parametric sweep batches K valuations of one closed model into a
+    /// single traversal.  Exit rates are summed in row order, so a lane's
+    /// bits do not depend on how many lanes share the kernel.
     ///
     /// # Errors
     ///
@@ -649,7 +618,7 @@ fn chunk_ranges(n: usize, workers: usize) -> Vec<Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Ctmdp;
+    use crate::ctmdp::Ctmdp;
 
     /// Deterministic xorshift64*; good enough to generate varied models.
     struct Rng(u64);
@@ -693,7 +662,12 @@ mod tests {
             })
             .collect();
         let goal = (0..n).map(|_| rng.unit() < 0.2).collect();
-        Ctmdp::new(states, rng.below(n), goal).unwrap()
+        Ctmdp::new(states, rng.below(n), goal)
+    }
+
+    /// A one-lane kernel over `states` with their own rates.
+    fn kernel_of(states: &[CtmdpState]) -> Result<RelaxKernel> {
+        Ctmdp::new(states.to_vec(), 0, Vec::new()).kernel()
     }
 
     const TIMES: [f64; 3] = [0.0, 0.3, 1.1];
@@ -705,7 +679,7 @@ mod tests {
             CtmdpState::Immediate(vec![0, 2]),
             CtmdpState::Markovian(vec![]),
         ];
-        let k = RelaxKernel::from_states(&states);
+        let k = kernel_of(&states).unwrap();
         assert_eq!(k.num_states(), 3);
         assert_eq!(k.lanes(), 1);
         assert_eq!(k.num_edges(), 2);
@@ -726,21 +700,40 @@ mod tests {
             CtmdpState::Markovian(vec![]),
         ];
         assert!(RelaxKernel::from_template(&template, &[1.0, 2.0], 2).is_ok());
-        // Zero lanes, wrong rate count, non-positive and non-finite rates.
+        // Zero lanes, wrong rate count, one invalid rate among the lanes.
         assert!(RelaxKernel::from_template(&template, &[], 0).is_err());
         assert!(RelaxKernel::from_template(&template, &[1.0], 2).is_err());
         assert!(RelaxKernel::from_template(&template, &[1.0, 0.0], 2).is_err());
         assert!(RelaxKernel::from_template(&template, &[1.0, f64::NAN], 2).is_err());
-        // Out-of-range Markovian and immediate targets.
-        let bad = vec![CtmdpState::Markovian(vec![(7, 1.0)])];
-        assert!(RelaxKernel::from_template(&bad, &[1.0], 1).is_err());
-        let bad = vec![CtmdpState::Immediate(vec![7])];
-        assert!(RelaxKernel::from_template(&bad, &[], 1).is_err());
+    }
+
+    #[test]
+    fn the_constructor_rejects_invalid_models_with_typed_errors() {
+        let target = |states: Vec<CtmdpState>| kernel_of(&states).unwrap_err();
+        let rate = |r: f64| target(vec![CtmdpState::Markovian(vec![(0, r)])]);
+        assert_eq!(
+            target(vec![CtmdpState::Markovian(vec![(7, 1.0)])]),
+            Error::InvalidState {
+                state: 7,
+                num_states: 1
+            }
+        );
+        assert_eq!(
+            target(vec![CtmdpState::Immediate(vec![7])]),
+            Error::InvalidState {
+                state: 7,
+                num_states: 1
+            }
+        );
+        assert!(matches!(rate(f64::NAN), Error::InvalidValue { value } if value.is_nan()));
+        for bad in [0.0, -1.0, f64::INFINITY] {
+            assert_eq!(rate(bad), Error::InvalidValue { value: bad });
+        }
     }
 
     #[test]
     fn reachability_validates_its_inputs() {
-        let k = RelaxKernel::from_states(&[CtmdpState::Markovian(vec![(0, 1.0)])]);
+        let k = kernel_of(&[CtmdpState::Markovian(vec![(0, 1.0)])]).unwrap();
         assert!(k.reachability(1, &[false], &TIMES, 1e-9, true, 1).is_err());
         assert!(k
             .reachability(0, &[false, true], &TIMES, 1e-9, true, 1)
@@ -760,11 +753,7 @@ mod tests {
                 let legacy = mdp
                     .reachability_extremal_multi_legacy(&TIMES, 1e-10, maximise)
                     .unwrap();
-                let fast = if maximise {
-                    mdp.reachability_max_multi(&TIMES, 1e-10).unwrap()
-                } else {
-                    mdp.reachability_min_multi(&TIMES, 1e-10).unwrap()
-                };
+                let fast = mdp.reachability_multi(&TIMES, 1e-10, maximise).unwrap();
                 for (a, b) in legacy.iter().zip(&fast) {
                     assert_eq!(a.to_bits(), b.to_bits(), "seed {seed} max {maximise}");
                 }
@@ -783,11 +772,7 @@ mod tests {
             let legacy = mdp
                 .reachability_extremal_multi_legacy(&times, 1e-9, maximise)
                 .unwrap();
-            let fast = if maximise {
-                mdp.reachability_max_multi(&times, 1e-9).unwrap()
-            } else {
-                mdp.reachability_min_multi(&times, 1e-9).unwrap()
-            };
+            let fast = mdp.reachability_multi(&times, 1e-9, maximise).unwrap();
             assert_eq!(legacy.len(), fast.len());
             for (a, b) in legacy.iter().zip(&fast) {
                 assert_eq!(a.to_bits(), b.to_bits(), "max {maximise}");
@@ -798,33 +783,25 @@ mod tests {
     #[test]
     fn batched_lanes_match_scalar_models_bit_for_bit() {
         // One shared structure, three rate scalings: lane k must reproduce a
-        // standalone Ctmdp with the same rates exactly.
+        // standalone one-lane kernel with the same rates exactly.
         let mdp = random_ctmdp(42, 20);
         let scales = [1.0, 1.35, 0.8];
         let lanes = scales.len();
-        let edges: Vec<(usize, u32, f64)> = mdp
-            .states()
-            .iter()
-            .enumerate()
-            .flat_map(|(s, st)| match st {
-                CtmdpState::Markovian(row) => row.iter().map(move |&(t, r)| (s, t, r)).collect(),
-                CtmdpState::Immediate(_) => Vec::new(),
-            })
-            .collect();
-        let mut lane_rates = Vec::with_capacity(edges.len() * lanes);
-        for &(_, _, r) in &edges {
+        let edge_rates = mdp.edge_rates();
+        let mut lane_rates = Vec::with_capacity(edge_rates.len() * lanes);
+        for &r in &edge_rates {
             for &scale in &scales {
                 lane_rates.push(r * scale);
             }
         }
-        let kernel = RelaxKernel::from_template(mdp.states(), &lane_rates, lanes).unwrap();
+        let kernel = RelaxKernel::from_template(&mdp.states, &lane_rates, lanes).unwrap();
         for workers in [1usize, 3] {
             let batched = kernel
-                .reachability(mdp.initial(), mdp.goal(), &TIMES, 1e-10, true, workers)
+                .reachability(mdp.initial, &mdp.goal, &TIMES, 1e-10, true, workers)
                 .unwrap();
             for (k, &scale) in scales.iter().enumerate() {
                 let scaled = Ctmdp::new(
-                    mdp.states()
+                    mdp.states
                         .iter()
                         .map(|st| match st {
                             CtmdpState::Markovian(row) => CtmdpState::Markovian(
@@ -833,11 +810,10 @@ mod tests {
                             CtmdpState::Immediate(s) => CtmdpState::Immediate(s.clone()),
                         })
                         .collect(),
-                    mdp.initial(),
-                    mdp.goal().to_vec(),
-                )
-                .unwrap();
-                let solo = scaled.reachability_max_multi(&TIMES, 1e-10).unwrap();
+                    mdp.initial,
+                    mdp.goal.clone(),
+                );
+                let solo = scaled.reachability_multi(&TIMES, 1e-10, true).unwrap();
                 for (t, s) in solo.iter().enumerate() {
                     assert_eq!(
                         batched[t * lanes + k].to_bits(),
@@ -853,14 +829,14 @@ mod tests {
     fn worker_count_never_changes_the_bits() {
         for seed in [5u64, 99] {
             let mdp = random_ctmdp(seed, 32);
-            let kernel = RelaxKernel::from_states(mdp.states());
+            let kernel = mdp.kernel().unwrap();
             for maximise in [false, true] {
                 let reference = kernel
-                    .reachability(mdp.initial(), mdp.goal(), &TIMES, 1e-9, maximise, 1)
+                    .reachability(mdp.initial, &mdp.goal, &TIMES, 1e-9, maximise, 1)
                     .unwrap();
                 for workers in [2usize, 4] {
                     let threaded = kernel
-                        .reachability(mdp.initial(), mdp.goal(), &TIMES, 1e-9, maximise, workers)
+                        .reachability(mdp.initial, &mdp.goal, &TIMES, 1e-9, maximise, workers)
                         .unwrap();
                     for (a, b) in reference.iter().zip(&threaded) {
                         assert_eq!(a.to_bits(), b.to_bits(), "seed {seed} workers {workers}");
@@ -895,7 +871,7 @@ mod tests {
                 }
             }
         }
-        let mdp = Ctmdp::new(states, 0, goal_states.clone()).unwrap();
+        let mdp = Ctmdp::new(states, 0, goal_states.clone());
         assert!(mdp.is_deterministic());
         let absorbed: Vec<(u32, u32, f64)> = transitions
             .iter()
@@ -906,7 +882,7 @@ mod tests {
         let via_ctmc = ctmc
             .reachability_multi(&goal_states, &TIMES, 1e-10)
             .unwrap();
-        let via_kernel = mdp.reachability_max_multi(&TIMES, 1e-10).unwrap();
+        let via_kernel = mdp.reachability_multi(&TIMES, 1e-10, true).unwrap();
         for (a, b) in via_ctmc.iter().zip(&via_kernel) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
@@ -921,15 +897,151 @@ mod tests {
             ],
             0,
             vec![false, false],
-        )
-        .unwrap();
+        );
         // Epsilon is not validated on this path, matching the legacy shortcut.
-        let r = mdp.reachability_max_multi(&TIMES, 0.0).unwrap();
+        let r = mdp.reachability_multi(&TIMES, 0.0, true).unwrap();
         assert_eq!(r, vec![0.0; TIMES.len()]);
         let legacy = mdp
             .reachability_extremal_multi_legacy(&TIMES, 0.0, true)
             .unwrap();
         assert_eq!(r, legacy);
+    }
+
+    #[test]
+    fn relowering_the_same_states_answers_bit_identically() {
+        // What a restored session relies on: a kernel lowered again from the
+        // same state vector answers every query with the same bits.
+        let mdp = Ctmdp::new(
+            vec![
+                CtmdpState::Immediate(vec![1, 2]),
+                CtmdpState::Markovian(vec![(2, 0.5)]),
+                CtmdpState::Markovian(vec![]),
+            ],
+            0,
+            vec![false, false, true],
+        );
+        let rebuilt = Ctmdp::new(mdp.states.clone(), mdp.initial, mdp.goal.clone());
+        let a = mdp.reachability_bounds(0.7, 1e-12).unwrap();
+        let b = rebuilt.reachability_bounds(0.7, 1e-12).unwrap();
+        assert_eq!(a.min.to_bits(), b.min.to_bits());
+        assert_eq!(a.max.to_bits(), b.max.to_bits());
+    }
+
+    #[test]
+    fn deterministic_ctmdp_matches_ctmc() {
+        // 0 --lambda--> 1 (goal): both bounds equal 1 - exp(-lambda t).
+        let lambda = 1.7;
+        let mdp = Ctmdp::new(
+            vec![
+                CtmdpState::Markovian(vec![(1, lambda)]),
+                CtmdpState::Markovian(vec![]),
+            ],
+            0,
+            vec![false, true],
+        );
+        assert!(mdp.is_deterministic());
+        let t = 0.9;
+        let b = mdp.reachability_bounds(t, 1e-12).unwrap();
+        let exact = 1.0 - (-lambda * t).exp();
+        assert!((b.min - exact).abs() < 1e-9);
+        assert!((b.max - exact).abs() < 1e-9);
+    }
+
+    #[test]
+    fn nondeterministic_choice_gives_interval() {
+        // Initial immediate choice between a fast branch (rate 10) and a slow
+        // branch (rate 0.1) towards the goal.
+        let mdp = Ctmdp::new(
+            vec![
+                CtmdpState::Immediate(vec![1, 2]),
+                CtmdpState::Markovian(vec![(3, 10.0)]),
+                CtmdpState::Markovian(vec![(3, 0.1)]),
+                CtmdpState::Markovian(vec![]),
+            ],
+            0,
+            vec![false, false, false, true],
+        );
+        assert!(!mdp.is_deterministic());
+        let t = 1.0;
+        let b = mdp.reachability_bounds(t, 1e-12).unwrap();
+        let fast = 1.0 - (-10.0f64 * t).exp();
+        let slow = 1.0 - (-0.1f64 * t).exp();
+        assert!((b.max - fast).abs() < 1e-6, "max {} vs {}", b.max, fast);
+        assert!((b.min - slow).abs() < 1e-6, "min {} vs {}", b.min, slow);
+        assert!(b.min < b.max);
+    }
+
+    #[test]
+    fn goal_at_initial_state_is_certain() {
+        let mdp = Ctmdp::new(vec![CtmdpState::Markovian(vec![])], 0, vec![true]);
+        let b = mdp.reachability_bounds(2.0, 1e-9).unwrap();
+        assert_eq!(b.min, 1.0);
+        assert_eq!(b.max, 1.0);
+    }
+
+    #[test]
+    fn immediate_chain_resolves_through_layers() {
+        // 0 (immediate) -> 1 (immediate) -> 2 (goal): reachable with probability 1
+        // immediately, under any scheduler.
+        let mdp = Ctmdp::new(
+            vec![
+                CtmdpState::Immediate(vec![1]),
+                CtmdpState::Immediate(vec![2]),
+                CtmdpState::Markovian(vec![]),
+            ],
+            0,
+            vec![false, false, true],
+        );
+        let b = mdp.reachability_bounds(0.0, 1e-9).unwrap();
+        assert_eq!(b.min, 1.0);
+        assert_eq!(b.max, 1.0);
+    }
+
+    #[test]
+    fn dead_end_immediate_state_never_reaches_goal() {
+        let mdp = Ctmdp::new(
+            vec![CtmdpState::Immediate(vec![]), CtmdpState::Markovian(vec![])],
+            0,
+            vec![false, true],
+        );
+        let b = mdp.reachability_bounds(10.0, 1e-9).unwrap();
+        assert_eq!(b.min, 0.0);
+        assert_eq!(b.max, 0.0);
+    }
+
+    #[test]
+    fn construction_errors() {
+        let bounds = |states, initial, goal| {
+            Ctmdp::new(states, initial, goal).reachability_bounds(1.0, 1e-9)
+        };
+        assert!(bounds(vec![CtmdpState::Immediate(vec![5])], 0, vec![false]).is_err());
+        assert!(bounds(vec![CtmdpState::Markovian(vec![(0, -1.0)])], 0, vec![false]).is_err());
+        assert!(bounds(vec![CtmdpState::Markovian(vec![])], 3, vec![false]).is_err());
+        assert!(bounds(vec![CtmdpState::Markovian(vec![])], 0, vec![false, true]).is_err());
+        let mdp = Ctmdp::new(vec![CtmdpState::Markovian(vec![])], 0, vec![false]);
+        assert!(mdp.reachability_bounds(-1.0, 1e-9).is_err());
+    }
+
+    #[test]
+    fn bounds_bracket_the_uniform_resolution() {
+        // Non-deterministic choice between two moderate branches; any fixed
+        // resolution must lie within the bounds.
+        let mdp = Ctmdp::new(
+            vec![
+                CtmdpState::Immediate(vec![1, 2]),
+                CtmdpState::Markovian(vec![(3, 2.0)]),
+                CtmdpState::Markovian(vec![(3, 3.0)]),
+                CtmdpState::Markovian(vec![]),
+            ],
+            0,
+            vec![false, false, false, true],
+        );
+        let t = 0.4;
+        let b = mdp.reachability_bounds(t, 1e-12).unwrap();
+        let p2 = 1.0 - (-2.0f64 * t).exp();
+        let p3 = 1.0 - (-3.0f64 * t).exp();
+        assert!(b.min <= p2 + 1e-9 && p2 <= b.max + 1e-9);
+        assert!(b.min <= p3 + 1e-9 && p3 <= b.max + 1e-9);
     }
 
     #[test]
@@ -951,7 +1063,7 @@ mod tests {
 
     #[test]
     fn auto_workers_stays_sequential_for_small_models() {
-        let k = RelaxKernel::from_states(&[CtmdpState::Markovian(vec![(0, 1.0)])]);
+        let k = kernel_of(&[CtmdpState::Markovian(vec![(0, 1.0)])]).unwrap();
         assert_eq!(k.auto_workers(), 1);
     }
 
@@ -959,9 +1071,9 @@ mod tests {
     fn stats_and_worker_cap_round_trip() {
         let before = stats();
         let mdp = random_ctmdp(11, 16);
-        let kernel = RelaxKernel::from_states(mdp.states());
-        kernel
-            .reachability(mdp.initial(), mdp.goal(), &[0.5], 1e-9, true, 2)
+        mdp.kernel()
+            .unwrap()
+            .reachability(mdp.initial, &mdp.goal, &[0.5], 1e-9, true, 2)
             .unwrap();
         let after = stats();
         assert!(after.relax_passes > before.relax_passes);

@@ -7,10 +7,12 @@
 //!
 //! * **Unreliability** — the probability that a set of goal ("failed") states is
 //!   reached within the mission time, computed by uniformisation
-//!   ([`Ctmc::reachability`]).  For CTMDPs, [`Ctmdp::reachability_bounds`] computes
-//!   minimum and maximum probabilities over time-abstract schedulers with the
-//!   value-iteration scheme of Baier, Hermanns, Katoen & Haverkort (2005), which
-//!   the paper cites as its CTMDP back-end.
+//!   ([`Ctmc::reachability`]).  For CTMDPs, [`RelaxKernel::reachability`]
+//!   computes the minimum or maximum probability over time-abstract schedulers
+//!   with the value-iteration scheme of Baier, Hermanns, Katoen & Haverkort
+//!   (2005), which the paper cites as its CTMDP back-end; a closed model is
+//!   lowered once, through [`RelaxKernel::from_template`], and its bounds are
+//!   two passes over that one kernel with different goal sets.
 //! * **Unavailability** — the long-run fraction of time spent in "down" states of a
 //!   repairable system, computed from the steady-state distribution
 //!   ([`steady::steady_state`]).
@@ -39,7 +41,8 @@
 #![warn(missing_docs)]
 
 pub mod ctmc;
-pub mod ctmdp;
+#[cfg(test)]
+mod ctmdp;
 pub mod kernel;
 pub mod mttf;
 pub mod poisson;
@@ -47,8 +50,7 @@ pub mod sparse;
 pub mod steady;
 
 pub use ctmc::Ctmc;
-pub use ctmdp::{Ctmdp, CtmdpState};
-pub use kernel::RelaxKernel;
+pub use kernel::{CtmdpState, RelaxKernel};
 pub use sparse::CsrMatrix;
 
 use std::fmt;

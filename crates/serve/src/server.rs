@@ -27,10 +27,15 @@ use dft::json::Json;
 use dft_core::service::{AnalysisService, ServiceOptions};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
+use std::time::{Duration, Instant};
+
+/// Most bytes of an unread request body drained after an error reply (see
+/// [`drain`]); a client sending more than this may see its connection reset.
+const DRAIN_CAP_BYTES: usize = 1 << 20;
 
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone)]
@@ -251,17 +256,22 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> bool {
 
     let mut buffer: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
-    let (response, shutdown) = loop {
+    // `unread` marks an error reply sent before the request was read in full.
+    let (response, shutdown, unread) = loop {
         match http::parse_request(&buffer, limits) {
             Ok(Some(request)) => {
                 let reply = shared.router.handle(&request);
-                break (http::response(reply.status, &reply.body), reply.shutdown);
+                break (
+                    http::response(reply.status, &reply.body),
+                    reply.shutdown,
+                    false,
+                );
             }
             Err(e) => {
                 // The request never reached the router; count it here.
                 bump(&shared.router.http_counters().bad_requests);
                 let body = Json::obj([("error", Json::Str(e.to_string()))]).render();
-                break (http::response(e.status(), &body), false);
+                break (http::response(e.status(), &body), false, true);
             }
             Ok(None) => match stream.read(&mut chunk) {
                 Ok(0) | Err(_) => {
@@ -279,6 +289,33 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> bool {
         .is_err()
     {
         bump(&shared.router.http_counters().dropped_connections);
+    } else if unread {
+        drain(&mut stream, limits.read_timeout);
     }
     shutdown
+}
+
+/// Half-closes the write side after an error reply and reads and discards
+/// what the client still sends, up to [`DRAIN_CAP_BYTES`] or `timeout` in
+/// total.  Closing a socket with unread data in its receive buffer resets the
+/// connection, and the reset can discard the reply before the client reads
+/// it — a client still uploading an oversized body would see
+/// `ConnectionReset` instead of its `413`.
+fn drain(stream: &mut TcpStream, timeout: Duration) {
+    if stream.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let deadline = Instant::now() + timeout;
+    let mut chunk = [0u8; 4096];
+    let mut drained = 0usize;
+    while drained < DRAIN_CAP_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => drained += n,
+        }
+    }
 }

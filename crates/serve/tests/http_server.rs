@@ -223,6 +223,28 @@ fn protocol_errors_map_to_typed_statuses() {
 }
 
 #[test]
+fn oversized_bodies_get_their_413_instead_of_a_reset() {
+    let server = Server::start(ServerOptions {
+        limits: HttpLimits {
+            max_body_bytes: 512,
+            ..HttpLimits::default()
+        },
+        ..small_options()
+    })
+    .unwrap();
+    let addr = server.local_addr();
+    // Many 4 KiB read chunks long: the server refuses the request after its
+    // head, while most of the body is still in flight.
+    let oversized = "x".repeat(64 * 1024);
+    for _ in 0..3 {
+        let reply = client::request(addr, "POST", "/submit", &oversized);
+        assert_eq!(reply.unwrap().0, 413);
+    }
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn full_registries_throttle_submissions() {
     let server = Server::start(ServerOptions {
         max_jobs: 0,
